@@ -22,8 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fourier import RingFilterBank, apply_band
 from .model import ClassifierParams, forward, predict
+from .signals import read_signal, write_signal
+from .storage import write_json
 
 __all__ = [
     "DEFAULT_SAP_KERNELS",
@@ -85,9 +86,6 @@ def gaussian_kernel(s: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-Band = tuple[RingFilterBank, int]
-
-
 def _loss_and_grad(
     params: ClassifierParams, leaf: Tensor, x_input: Tensor, y: np.ndarray, step: int
 ) -> tuple[float, np.ndarray]:
@@ -109,7 +107,6 @@ def pgd(
     x: np.ndarray,
     y: np.ndarray,
     spec: AttackSpec,
-    band: Band | None = None,
 ) -> np.ndarray:
     """Signed-gradient ascent on the input with per-step projection into
     the epsilon ball around x.  No data-domain box: amplitudes are
@@ -121,8 +118,7 @@ def pgd(
     delta = np.zeros_like(x)
     for step in range(spec.steps):
         leaf = Tensor(x + delta, requires_grad=True)
-        inp = apply_band(band[0], band[1], leaf) if band is not None else leaf
-        _, g = _loss_and_grad(params, leaf, inp, y, step)
+        _, g = _loss_and_grad(params, leaf, leaf, y, step)
         delta = np.clip(delta + spec.alpha * np.sign(g), -spec.eps, spec.eps)
     return x + delta
 
@@ -143,7 +139,6 @@ def sap(
     x: np.ndarray,
     y: np.ndarray,
     spec: AttackSpec,
-    band: Band | None = None,
 ) -> np.ndarray:
     """Smoothed perturbation: optimize a latent theta (clipped to the
     epsilon ball) whose kernel-smoothed average is added to x.  Since the
@@ -157,8 +152,7 @@ def sap(
     for step in range(spec.steps):
         leaf = Tensor(theta, requires_grad=True)
         xprime = ad.add(Tensor(x), _render_smooth(leaf, kernels))
-        inp = apply_band(band[0], band[1], xprime) if band is not None else xprime
-        _, g = _loss_and_grad(params, leaf, inp, y, step)
+        _, g = _loss_and_grad(params, leaf, xprime, y, step)
         theta = np.clip(theta + spec.alpha * np.sign(g), -spec.eps, spec.eps)
     return x + _render_smooth(Tensor(theta), kernels).data
 
@@ -184,13 +178,11 @@ def craft_set(
     ids,
     spec: AttackSpec,
     base: ClassifierParams,
-    band: Band | None = None,
-    target_model_id: str = "arm0",
 ) -> AttackedSet:
     """Perturb every sample against `target`; the scoring mask keeps only
     samples the base model classifies correctly in natural form."""
     attack = pgd if spec.family == "pgd" else sap
-    perturbed = attack(target, x, y, spec, band=band)
+    perturbed = attack(target, x, y, spec)
     mask = predict(base, x) == y
     return AttackedSet(
         ids=list(ids),
@@ -199,23 +191,16 @@ def craft_set(
         perturbed=perturbed,
         mask=mask,
         spec=spec,
-        target_model_id=target_model_id,
+        target_model_id="arm0",
     )
-
-
-def _write_signals(directory: Path, ids, matrix: np.ndarray) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for rid, row in zip(ids, matrix):
-        with open(directory / f"{rid}.txt", "w") as fh:
-            fh.write("\n".join(repr(float(v)) for v in row))
-            fh.write("\n")
 
 
 def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_signals(out_dir / "natural", aset.ids, aset.natural)
-    _write_signals(out_dir / "perturbed", aset.ids, aset.perturbed)
+    for sub, matrix in (("natural", aset.natural), ("perturbed", aset.perturbed)):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
+        for rid, row in zip(aset.ids, matrix):
+            write_signal(out_dir / sub / f"{rid}.txt", row)
     deltas = aset.linf_deltas()
     with open(out_dir / "index.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -232,9 +217,7 @@ def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
         "kernel_bank": [list(k) for k in aset.spec.kernel_bank],
         "target_model_id": aset.target_model_id,
     }
-    with open(out_dir / "attack_manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "attack_manifest.json", manifest)
 
 
 def load_attacked_set(in_dir: str | Path) -> AttackedSet:
@@ -252,14 +235,10 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
             ids.append(rid)
             labels.append(int(label))
             mask.append(bool(int(masked)))
-
-    def read_matrix(sub: str) -> np.ndarray:
-        rows = []
-        for rid in ids:
-            path = in_dir / sub / f"{rid}.txt"
-            with open(path) as fh:
-                rows.append(np.array([float(t) for t in fh.read().split()], dtype=np.float64))
-        return np.stack(rows)
+    natural, perturbed = (
+        np.stack([read_signal(in_dir / sub / f"{rid}.txt") for rid in ids])
+        for sub in ("natural", "perturbed")
+    )
 
     spec = AttackSpec.make(
         manifest["family"],
@@ -271,8 +250,8 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     return AttackedSet(
         ids=ids,
         labels=np.array(labels, dtype=np.int64),
-        natural=read_matrix("natural"),
-        perturbed=read_matrix("perturbed"),
+        natural=natural,
+        perturbed=perturbed,
         mask=np.array(mask, dtype=bool),
         spec=spec,
         target_model_id=manifest["target_model_id"],

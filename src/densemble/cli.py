@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -28,8 +27,9 @@ from .config import (
     synth_from_config,
     train_from_config,
 )
-from .decorrelation import save_cache
+from .decorrelation import load_cache, save_cache
 from .ensemble import (
+    ARMS_PER_ENSEMBLE,
     KINDS,
     arm_roles,
     correlation_report,
@@ -39,6 +39,7 @@ from .ensemble import (
 from .fourier import design_bank
 from .model import load_params, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
+from .storage import write_json
 
 __all__ = ["main", "entry"]
 
@@ -46,9 +47,7 @@ __all__ = ["main", "entry"]
 def _write_manifest(out_dir: Path, command: str, cfg: dict, args: dict) -> None:
     manifest = {"command": command, "args": args, "config": cfg}
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "run_manifest.json", manifest)
 
 
 def _load_splits(cfg: dict):
@@ -81,19 +80,15 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
     ds = synthesize(synth_from_config(cfg), cfg["data"]["seeds"]["synth"])
     save_dataset(ds, out_dir)
     train_raw, test_raw = split(ds, cfg["data"]["train_fraction"], cfg["data"]["seeds"]["split"])
-    with open(out_dir / "split.json", "w") as fh:
-        json.dump(
-            {
-                "train_fraction": cfg["data"]["train_fraction"],
-                "seed": cfg["data"]["seeds"]["split"],
-                "train_ids": train_raw.ids(),
-                "test_ids": test_raw.ids(),
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        out_dir / "split.json",
+        {
+            "train_fraction": cfg["data"]["train_fraction"],
+            "seed": cfg["data"]["seeds"]["split"],
+            "train_ids": train_raw.ids(),
+            "test_ids": test_raw.ids(),
+        },
+    )
     _write_manifest(out_dir, "generate-data", cfg, {"out": args.out})
     print(f"generated {len(ds)} records in {out_dir}")
     return 0
@@ -164,6 +159,29 @@ def _load_base_arm(ensemble_dir: Path, kinds: list[str]):
     return load_params(ensemble_dir / first / "arm0.params")
 
 
+def _attack_cells(cfg: dict) -> list[tuple[str, str, float]]:
+    """(cell dir name, family, epsilon) for every cell of the attack grid."""
+    return [(f"{fam}_eps{i:02d}", fam, eps) for fam in cfg["attack"]["families"]
+            for i, eps in enumerate(cfg["attack"]["epsilons"])]
+
+
+def _load_arms(kind_dir: Path, train_ids: list[str]):
+    """Each arm's parameters and its saved training-set features, whose
+    rows must follow the current train split."""
+    arms, feats = [], []
+    for k in range(ARMS_PER_ENSEMBLE):
+        params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
+        for path in (params_path, cache_path):
+            if not path.exists():
+                raise FileNotFoundError(f"missing artifact: {path}")
+        cache = load_cache(cache_path)
+        if cache.sample_ids != tuple(train_ids):
+            raise RuntimeError(f"{cache_path}: sample_ids differ from the train split")
+        arms.append(load_params(params_path))
+        feats.append(cache.features)
+    return arms, feats
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
@@ -172,11 +190,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _, test = _load_splits(cfg)
     x, y, ids = test.signals_matrix(), test.labels_array(), test.ids()
 
-    grid = [(fam, i, eps) for fam in cfg["attack"]["families"]
-            for i, eps in enumerate(cfg["attack"]["epsilons"])]
+    grid = _attack_cells(cfg)
     failed = []
-    for fam, i, eps in grid:
-        cell = out_dir / f"{fam}_eps{i:02d}"
+    for name, fam, eps in grid:
+        cell = out_dir / name
         try:
             spec = AttackSpec.make(
                 fam,
@@ -209,28 +226,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test = _load_splits(cfg)
     x_nat, y_nat = test.signals_matrix(), test.labels_array()
 
-    arms_by_kind = {}
-    for kind in kinds:
-        arms = []
-        for k in range(3):
-            path = ensemble_dir / kind / f"arm{k}.params"
-            if not path.exists():
-                raise FileNotFoundError(f"missing artifact: {path}")
-            arms.append(load_params(path))
-        arms_by_kind[kind] = arms
+    arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids()) for kind in kinds}
 
     cells = []
-    for fam in cfg["attack"]["families"]:
-        for i, eps in enumerate(cfg["attack"]["epsilons"]):
-            cell = attacks_dir / f"{fam}_eps{i:02d}"
-            if not (cell / "index.csv").exists():
-                raise FileNotFoundError(f"missing artifact: {cell / 'index.csv'}")
-            cells.append((fam, eps, load_attacked_set(cell)))
+    for name, fam, eps in _attack_cells(cfg):
+        cell = attacks_dir / name
+        if not (cell / "index.csv").exists():
+            raise FileNotFoundError(f"missing artifact: {cell / 'index.csv'}")
+        cells.append((fam, eps, load_attacked_set(cell)))
 
     rows = []
     correlations = {}
     for kind in kinds:
-        arms = arms_by_kind[kind]
+        arms, feats = arms_by_kind[kind]
         roles = arm_roles(kind)
         nat = evaluate_arms(arms, roles, x_nat, y_nat, None, bank)
         rows.append([kind, "none", 0.0, nat["average"], nat["p1"], nat["p2"], nat["p3"],
@@ -239,9 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             m = evaluate_arms(arms, roles, aset.perturbed, aset.labels, aset.mask, bank)
             rows.append([kind, fam, eps, m["average"], m["p1"], m["p2"], m["p3"],
                          m["n_masked"]])
-        correlations[kind] = correlation_report(
-            arms, roles, train.signals_matrix(), bank
-        )
+        correlations[kind] = correlation_report(feats)
 
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", newline="") as fh:
@@ -250,9 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for kind, fam, eps, avg, p1, p2, p3, n in rows:
             writer.writerow([kind, fam, repr(float(eps)), repr(avg), repr(p1), repr(p2),
                              repr(p3), n])
-    with open(report_path.parent / "correlation.json", "w") as fh:
-        json.dump(correlations, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report_path.parent / "correlation.json", correlations)
     _write_manifest(report_path.parent, "evaluate", cfg,
                     {"ensemble_dir": args.ensemble_dir, "attacks": args.attacks,
                      "out": args.out})

@@ -43,7 +43,7 @@ class DecorConfig:
     projection_dim: int = 50
     weight: float = 0.2
     stab_eps: float = 1e-5
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.projection_dim < 1:
@@ -176,14 +176,15 @@ def total_loss(
     batch_indices,
     cfg: DecorConfig,
     step_seed,
-) -> Tensor:
-    """Cross entropy plus weighted decorrelation; with weight 0 (or no
-    previous models) this is exactly the cross entropy."""
+) -> tuple[Tensor, Tensor, Tensor | None]:
+    """Cross entropy plus weighted decorrelation, returned as
+    ``(loss, ce, cor)``; with weight 0 (or no previous models) the loss
+    is exactly the cross entropy and ``cor`` is None."""
     ce = ad.softmax_cross_entropy(logits, labels)
     if cfg.weight == 0.0 or not caches:
-        return ce
+        return ce, ce, None
     cor = ensemble_decor_loss(zk, caches, batch_indices, cfg, step_seed)
-    return ad.add(ce, ad.scale(cor, cfg.weight))
+    return ad.add(ce, ad.scale(cor, cfg.weight)), ce, cor
 
 
 def build_cache(

@@ -20,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .decorrelation import (
     DecorConfig,
     FeatureCache,
     build_cache,
     correlation_r2,
-    ensemble_decor_loss,
+    total_loss,
 )
 from .fourier import RingFilterBank, apply_band
 from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors
@@ -120,8 +119,8 @@ class TrainConfig:
     batch_size: int = 80
     learning_rate: float = 1e-3
     adam: AdamConfig = AdamConfig()
-    init_seed: int = 0
-    shuffle_seed: int = 0
+    init_seed: int = field(kw_only=True)
+    shuffle_seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 2 or self.learning_rate <= 0:
@@ -205,14 +204,13 @@ def train_arm(
         for bidx in batch_schedule(n, cfg.batch_size, perm):
             pt = make_param_tensors(params, requires_grad=True)
             logits, feats = forward(params, view[bidx], param_tensors=pt)
-            ce = ad.softmax_cross_entropy(logits, train_y[bidx])
-            if active:
-                step_seed = np.random.SeedSequence([decor_cfg.seed, k, step])
-                cor = ensemble_decor_loss(feats, caches, bidx, decor_cfg, step_seed)
-                loss = ad.add(ce, ad.scale(cor, decor_cfg.weight))
+            step_seed = np.random.SeedSequence([decor_cfg.seed, k, step])
+            loss, ce, cor = total_loss(
+                logits, train_y[bidx], feats, caches if active else [], bidx, decor_cfg,
+                step_seed,
+            )
+            if cor is not None:
                 cor_vals.append(cor.item())
-            else:
-                loss = ce
             loss.backward()
             grads = {name: t.grad for name, t in pt.items()}
             adam_step(params.tensors, grads, state, cfg.learning_rate, cfg.adam)
@@ -292,31 +290,14 @@ def evaluate_arms(
     return metrics
 
 
-def _full_features(
-    params: ClassifierParams, x: np.ndarray, batch_size: int = 256
-) -> np.ndarray:
-    chunks = []
-    for start in range(0, x.shape[0], batch_size):
-        chunks.append(forward(params, x[start : start + batch_size])[1].data)
-    return np.concatenate(chunks, axis=0)
-
-
-def correlation_report(
-    arms: Sequence[ClassifierParams],
-    roles: Sequence[ArmRole],
-    train_x: np.ndarray,
-    bank: RingFilterBank | None = None,
-) -> dict:
-    """Pairwise feature R^2 over the full training set.
+def correlation_report(feats: Sequence[np.ndarray]) -> dict:
+    """Pairwise R^2 between the arms' features over the full training
+    set (the rows of their feature caches).
 
     OLS R^2 is direction dependent, so the full ordered matrix is
     reported along with the per-pair mean of both directions as the
     headline number.  Values are clamped to [0, 1] for reporting.
     """
-    feats = [
-        _full_features(p, _arm_view(train_x, role, bank))
-        for p, role in zip(arms, roles)
-    ]
     a = len(feats)
     raw = [[correlation_r2(feats[i], feats[j]) for j in range(a)] for i in range(a)]
     clamp = lambda v: float(min(1.0, max(0.0, v)))

@@ -25,16 +25,11 @@ class RingFilterBank:
     transition_width: float
     responses: tuple[np.ndarray, ...] = field(repr=False)
 
-    @property
-    def num_bands(self) -> int:
-        return len(self.responses)
-
 
 def design_bank(
     length: int,
     cutoff: float,
     transition_width: float = 0.0,
-    num_bands: int = 2,
 ) -> RingFilterBank:
     """Build a two-band partition-of-unity filter bank.
 
@@ -44,8 +39,6 @@ def design_bank(
     at the cutoff belongs to the low band.  The high band is the exact
     complement, so the two responses sum to one at every bin.
     """
-    if num_bands != 2:
-        raise NotImplementedError("only two-band banks are supported")
     if length < 2:
         raise ValueError("bank length must be >= 2")
     lo = cutoff - transition_width / 2.0
@@ -85,7 +78,7 @@ def apply_band(bank: RingFilterBank, j: int, x):
     linear and self-adjoint (real symmetric spectral multiplier), so the
     backward pass applies the same band to the upstream adjoint.
     """
-    if not 0 <= j < bank.num_bands:
+    if not 0 <= j < len(bank.responses):
         raise ValueError(f"band index {j} out of range")
     if isinstance(x, Tensor):
         out = _filter_values(bank, j, x.data)
@@ -101,7 +94,7 @@ def apply_band(bank: RingFilterBank, j: int, x):
 def band_energy(x, bank: RingFilterBank) -> np.ndarray:
     """Per-band energies of a signal, Parseval-consistent.
 
-    Returns ``[..., num_bands]``; with a hard (tw=0) bank the energies
+    Returns ``[..., 2]``; with a hard (tw=0) bank the energies
     sum to ``||x||^2`` exactly up to FFT roundoff.
     """
     values = np.asarray(x, dtype=np.float64)

@@ -24,6 +24,8 @@ __all__ = [
     "synthesize",
     "load_dataset",
     "save_dataset",
+    "read_signal",
+    "write_signal",
     "preprocess",
     "split",
 ]
@@ -191,12 +193,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         path = base / rel
         if not path.exists():
             raise FileNotFoundError(f"signal file missing: {path}")
-        sig = _read_signal(path)
+        sig = read_signal(path)
         records.append(Record(id=rid, signal=sig, label=label_names.index(label_str)))
     return Dataset(records=records, num_classes=len(label_names), label_names=label_names)
 
 
-def _read_signal(path: Path) -> np.ndarray:
+def read_signal(path: str | Path) -> np.ndarray:
+    """One float per line; a bad value fails as ``path:line``."""
     values = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -212,18 +215,22 @@ def _read_signal(path: Path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def write_signal(path: str | Path, values: np.ndarray) -> None:
+    """One repr() float per line, so :func:`read_signal` gets every bit back."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(repr(float(v)) for v in values))
+        fh.write("\n")
+
+
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
-    """Write manifest + one float-per-line file per record; returns the
-    manifest path.  repr() formatting makes the roundtrip bitwise exact."""
+    """Write manifest + one signal file per record; returns the manifest path."""
     out_dir = Path(out_dir)
     sig_dir = out_dir / "signals"
     sig_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for rec in ds.records:
         rel = f"signals/{rec.id}.txt"
-        with open(out_dir / rel, "w") as fh:
-            fh.write("\n".join(repr(float(v)) for v in rec.signal))
-            fh.write("\n")
+        write_signal(out_dir / rel, rec.signal)
         rows.append([rec.id, ds.label_names[rec.label], rel])
     manifest = out_dir / "manifest.csv"
     with open(manifest, "w", newline="") as fh:

@@ -1,9 +1,12 @@
-"""Versioned binary container for parameters and feature caches.
+"""Artifact writers: the versioned binary container for parameters and
+feature caches, and the JSON text files.
 
-Layout: 4-byte magic, big-endian uint32 header length, a sorted-keys
-JSON header (metadata plus an array index), then the raw array payload.
-Writing the same content twice produces identical bytes, which the
-reproducibility checks rely on.
+Container layout: 4-byte magic, big-endian uint32 header length, a
+sorted-keys JSON header (metadata plus an array index), then the raw
+array payload.  JSON artifacts (run manifests, split, correlation and
+attack manifests) all go through :func:`write_json`: sorted keys, indent
+2, trailing newline.  Writing the same content twice produces identical
+bytes, which the reproducibility checks rely on.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 MAGIC = b"DENS"
 FORMAT_VERSION = 1
 
-__all__ = ["write_container", "read_container", "FORMAT_VERSION"]
+__all__ = ["write_container", "read_container", "write_json", "FORMAT_VERSION"]
 
 
 def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -75,3 +78,9 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[entry["name"]] = arr.copy()
     header = {k: v for k, v in meta.items() if k != "arrays"}
     return header, arrays
+
+
+def write_json(path: str | Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")

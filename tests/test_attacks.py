@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def toy():
     res = train_arm(
         0, ArmRole(band=None, decorrelate=False),
         train.signals_matrix(), train.labels_array(), train.ids(),
-        ARCH, cfg, DecorConfig(projection_dim=8), [],
+        ARCH, cfg, DecorConfig(projection_dim=8, seed=0), [],
     )
     return res.params, test.signals_matrix(), test.labels_array(), test.ids()
 
@@ -173,6 +175,17 @@ class TestCraftSet:
         assert np.array_equal(back.natural, aset.natural)
         assert np.array_equal(back.perturbed, aset.perturbed)
         assert back.spec.family == "sap" and back.spec.eps == 0.4
+
+    def test_bad_signal_value_names_file_and_line(self, toy, tmp_path):
+        params, x, y, ids = toy
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params)
+        save_attacked_set(aset, tmp_path / "cell")
+        bad = tmp_path / "cell" / "perturbed" / f"{ids[0]}.txt"
+        lines = bad.read_text().splitlines()
+        lines[2] = "not-a-number"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:3:")):
+            load_attacked_set(tmp_path / "cell")
 
     def test_missing_index_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

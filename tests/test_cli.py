@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from densemble.decorrelation import FeatureCache, load_cache, save_cache
+
 from conftest import read_report, run_cli
 
 TINY = {
@@ -211,6 +213,39 @@ def test_evaluate_missing_artifact_exits_1(workdir, capsys):
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert "missing artifact" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def attacked(workdir):
+    """A trained cor ensemble and its attack grid, ready for evaluate."""
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens",
+                   "--out", "atk") == 0
+    return tmp_path, cfg
+
+
+def test_evaluate_missing_cache_exits_1(attacked, capsys):
+    tmp_path, cfg = attacked
+    cache = tmp_path / "ens" / "cor" / "arm1.cache"
+    cache.unlink()
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"missing artifact: {cache}" in capsys.readouterr().err
+
+
+def test_evaluate_cache_of_other_sample_order_exits_1(attacked, capsys):
+    tmp_path, cfg = attacked
+    path = tmp_path / "ens" / "cor" / "arm2.cache"
+    cache = load_cache(path)
+    permuted = tuple(reversed(cache.sample_ids))
+    save_cache(FeatureCache(cache.model_id, permuted, cache.features), path)
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "sample_ids" in err
+    assert not (tmp_path / "r" / "correlation.json").exists()
 
 
 def test_usage_error_exits_2(capsys):

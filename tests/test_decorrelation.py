@@ -243,15 +243,25 @@ class TestTotalLoss:
         zk = Tensor(rng.normal(size=(10, 6)))
         cfg0 = DecorConfig(projection_dim=5, weight=0.0, stab_eps=1e-5, seed=0)
         cache = _cache_from(rng.normal(size=(10, 6)))
-        total = total_loss(Tensor(logits0), labels, zk, [cache], np.arange(10), cfg0, 0)
+        total, part_ce, cor = total_loss(
+            Tensor(logits0), labels, zk, [cache], np.arange(10), cfg0, 0
+        )
         ce = ad.softmax_cross_entropy(Tensor(logits0), labels)
         assert total.item() == ce.item()
+        assert part_ce is total and cor is None
 
-    def test_weighted_arithmetic(self):
-        # ce 1.0 and decor 2.0 with weight 0.2 gives 1.4; checked through
-        # the public composition on synthetic component values
-        ce, cor, lam = 1.0, 2.0, 0.2
-        assert abs((ce + lam * cor) - 1.4) < 1e-15
+    def test_loss_is_ce_plus_weighted_cor(self):
+        rng = np.random.default_rng(57)
+        logits0 = rng.normal(size=(12, 3))
+        labels = rng.integers(0, 3, size=12)
+        zk = Tensor(rng.normal(size=(12, 6)))
+        cache = _cache_from(rng.normal(size=(12, 6)))
+        cfg = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=0)
+        idx = np.arange(12)
+        total, ce, cor = total_loss(Tensor(logits0), labels, zk, [cache], idx, cfg, 3)
+        assert ce.item() == ad.softmax_cross_entropy(Tensor(logits0), labels).item()
+        assert cor.item() == ensemble_decor_loss(zk, [cache], idx, cfg, 3).item()
+        assert total.item() == ce.item() + cfg.weight * cor.item()
 
     def test_gradient_linearity(self):
         rng = np.random.default_rng(56)
@@ -264,7 +274,7 @@ class TestTotalLoss:
 
         logits = Tensor(logits0, requires_grad=True)
         zk = Tensor(zk0, requires_grad=True)
-        total_loss(logits, labels, zk, [cache], idx, cfg, 3).backward()
+        total_loss(logits, labels, zk, [cache], idx, cfg, 3)[0].backward()
         g_logits, g_zk = logits.grad.copy(), zk.grad.copy()
 
         l1 = Tensor(logits0, requires_grad=True)

@@ -261,7 +261,7 @@ class TestCorrelationReport:
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
-        rep = correlation_report([r.params for r in results], arm_roles("cor"), x)
+        rep = correlation_report([r.cache.features for r in results])
         for i in range(3):
             assert abs(rep["matrix"][i][i] - 1.0) < 1e-8
 
@@ -269,7 +269,7 @@ class TestCorrelationReport:
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
-        rep = correlation_report([r.params for r in results], arm_roles("cor"), x)
+        rep = correlation_report([r.cache.features for r in results])
         for row in rep["matrix"]:
             assert all(0.0 <= v <= 1.0 for v in row)
         assert set(rep["pairs"]) == {"0-1", "0-2", "1-2"}

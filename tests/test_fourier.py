@@ -50,10 +50,6 @@ class TestDesignBank:
         with pytest.raises(ValueError):
             design_bank(64, cutoff, tw)
 
-    def test_more_than_two_bands_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            design_bank(64, 0.2, 0.0, num_bands=3)
-
 
 class TestApplyBand:
     def test_perfect_reconstruction(self):
