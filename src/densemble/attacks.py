@@ -52,15 +52,15 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.family not in ("pgd", "sap"):
-            raise ValueError(f"unknown attack family {self.family!r}")
-        if self.eps < 0 or self.alpha < 0 or self.steps < 1:
-            raise ValueError("need eps >= 0, alpha >= 0, steps >= 1")
-        if self.family == "sap":
-            if not self.kernel_bank:
-                raise ValueError("sap needs a non-empty kernel bank")
-            for s, sigma in self.kernel_bank:
-                if s % 2 == 0 or s < 1 or sigma <= 0:
-                    raise ValueError(f"invalid kernel ({s}, {sigma}): width must be odd")
+            raise ValueError(f"family: unknown attack family {self.family!r}")
+        for name, low in (("eps", 0), ("alpha", 0), ("steps", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        if self.family == "sap" and not self.kernel_bank:
+            raise ValueError("kernel_bank: sap needs a non-empty kernel bank")
+        for s, sigma in self.kernel_bank:
+            if s % 2 == 0 or s < 1 or sigma <= 0:
+                raise ValueError(f"kernel_bank: need [odd width, std > 0], got ({s}, {sigma})")
 
     @staticmethod
     def make(family: str, eps: float, steps: int = 20, alpha: float | None = None,
@@ -102,6 +102,19 @@ def _loss_and_grad(
     return loss.item(), g
 
 
+def _ascend(params: ClassifierParams, x, y, spec: AttackSpec, render) -> np.ndarray:
+    """Signed-gradient ascent on a latent clipped to the epsilon ball after
+    every step; the model sees x + render(latent).  Iterating on the latent
+    rather than on x keeps the ball constraint exact in floats."""
+    x = np.asarray(x, dtype=np.float64)
+    latent = np.zeros_like(x)
+    for step in range(spec.steps):
+        leaf = Tensor(latent, requires_grad=True)
+        _, g = _loss_and_grad(params, leaf, ad.add(Tensor(x), render(leaf)), y, step)
+        latent = np.clip(latent + spec.alpha * np.sign(g), -spec.eps, spec.eps)
+    return x + render(Tensor(latent)).data
+
+
 def pgd(
     params: ClassifierParams,
     x: np.ndarray,
@@ -113,14 +126,7 @@ def pgd(
     unbounded after z-scoring."""
     if spec.family != "pgd":
         raise ValueError("pgd called with a non-pgd spec")
-    x = np.asarray(x, dtype=np.float64)
-    # iterate on the perturbation so the ball constraint is exact in floats
-    delta = np.zeros_like(x)
-    for step in range(spec.steps):
-        leaf = Tensor(x + delta, requires_grad=True)
-        _, g = _loss_and_grad(params, leaf, leaf, y, step)
-        delta = np.clip(delta + spec.alpha * np.sign(g), -spec.eps, spec.eps)
-    return x + delta
+    return _ascend(params, x, y, spec, lambda delta: delta)
 
 
 def _render_smooth(theta: Tensor, kernels: list[np.ndarray]) -> Tensor:
@@ -146,15 +152,8 @@ def sap(
     stays inside the epsilon ball."""
     if spec.family != "sap":
         raise ValueError("sap called with a non-sap spec")
-    x = np.asarray(x, dtype=np.float64)
     kernels = [gaussian_kernel(s, sigma) for s, sigma in spec.kernel_bank]
-    theta = np.zeros_like(x)
-    for step in range(spec.steps):
-        leaf = Tensor(theta, requires_grad=True)
-        xprime = ad.add(Tensor(x), _render_smooth(leaf, kernels))
-        _, g = _loss_and_grad(params, leaf, xprime, y, step)
-        theta = np.clip(theta + spec.alpha * np.sign(g), -spec.eps, spec.eps)
-    return x + _render_smooth(Tensor(theta), kernels).data
+    return _ascend(params, x, y, spec, lambda theta: _render_smooth(theta, kernels))
 
 
 @dataclass
@@ -235,10 +234,13 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
             ids.append(rid)
             labels.append(int(label))
             mask.append(bool(int(masked)))
-    natural, perturbed = (
-        np.stack([read_signal(in_dir / sub / f"{rid}.txt") for rid in ids])
-        for sub in ("natural", "perturbed")
-    )
+    paths = [in_dir / sub / f"{rid}.txt" for sub in ("natural", "perturbed") for rid in ids]
+    rows = [read_signal(p) for p in paths]
+    common = np.bincount([len(r) for r in rows]).argmax()
+    for path, row in zip(paths, rows):
+        if len(row) != common:
+            raise ValueError(f"{path}: {len(row)} values, but the other signals have {common}")
+    natural, perturbed = np.stack(rows[: len(ids)]), np.stack(rows[len(ids):])
 
     spec = AttackSpec.make(
         manifest["family"],

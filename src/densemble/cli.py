@@ -14,13 +14,12 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .attacks import AttackSpec, craft_set, load_attacked_set, save_attacked_set
-from .autodiff import next_pow2
+from .attacks import craft_set, load_attacked_set, save_attacked_set
 from .config import (
     ConfigError,
     arch_from_config,
+    attack_cells,
+    bank_from_config,
     decor_from_config,
     load_config,
     resolve_path,
@@ -36,7 +35,6 @@ from .ensemble import (
     evaluate_arms,
     train_ensemble,
 )
-from .fourier import design_bank
 from .model import load_params, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
 from .storage import write_json
@@ -62,14 +60,6 @@ def _load_splits(cfg: dict):
     train = preprocess(train_raw, data["length"])
     test = preprocess(test_raw, data["length"], stats=train.normalization)
     return train, test
-
-
-def _bank_from_config(cfg: dict):
-    return design_bank(
-        next_pow2(cfg["data"]["length"]),
-        cfg["bank"]["cutoff"],
-        cfg["bank"]["transition_width"],
-    )
 
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
@@ -117,7 +107,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 1
 
     train, _ = _load_splits(cfg)
-    bank = _bank_from_config(cfg)
+    bank = bank_from_config(cfg)
     results = train_ensemble(
         kind,
         train.signals_matrix(),
@@ -159,12 +149,6 @@ def _load_base_arm(ensemble_dir: Path, kinds: list[str]):
     return load_params(ensemble_dir / first / "arm0.params")
 
 
-def _attack_cells(cfg: dict) -> list[tuple[str, str, float]]:
-    """(cell dir name, family, epsilon) for every cell of the attack grid."""
-    return [(f"{fam}_eps{i:02d}", fam, eps) for fam in cfg["attack"]["families"]
-            for i, eps in enumerate(cfg["attack"]["epsilons"])]
-
-
 def _load_arms(kind_dir: Path, train_ids: list[str]):
     """Each arm's parameters and its saved training-set features, whose
     rows must follow the current train split."""
@@ -190,18 +174,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _, test = _load_splits(cfg)
     x, y, ids = test.signals_matrix(), test.labels_array(), test.ids()
 
-    grid = _attack_cells(cfg)
+    grid = attack_cells(cfg)
     failed = []
-    for name, fam, eps in grid:
+    for name, spec in grid:
         cell = out_dir / name
         try:
-            spec = AttackSpec.make(
-                fam,
-                eps,
-                steps=cfg["attack"]["steps"],
-                alpha=eps * cfg["attack"]["alpha_scale"],
-                kernel_bank=[tuple(k) for k in cfg["attack"]["sap_kernels"]],
-            )
             aset = craft_set(base, x, y, ids, spec, base)
             save_attacked_set(aset, cell)
         except Exception as exc:  # noqa: BLE001 - report cell and keep going
@@ -222,18 +199,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     attacks_dir = resolve_path(cfg, args.attacks)
     report_path = resolve_path(cfg, args.out)
     kinds = _discover_kinds(ensemble_dir)
-    bank = _bank_from_config(cfg)
+    bank = bank_from_config(cfg)
     train, test = _load_splits(cfg)
     x_nat, y_nat = test.signals_matrix(), test.labels_array()
 
     arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids()) for kind in kinds}
 
     cells = []
-    for name, fam, eps in _attack_cells(cfg):
+    for name, spec in attack_cells(cfg):
         cell = attacks_dir / name
         if not (cell / "index.csv").exists():
             raise FileNotFoundError(f"missing artifact: {cell / 'index.csv'}")
-        cells.append((fam, eps, load_attacked_set(cell)))
+        cells.append((spec.family, spec.eps, load_attacked_set(cell)))
 
     rows = []
     correlations = {}

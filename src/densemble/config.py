@@ -4,6 +4,10 @@ User files are merged over the defaults below; unknown keys are
 rejected with their dotted path, every seed is explicit in the resolved
 config, and each command writes the fully resolved config into its run
 manifest so any artifact can be reproduced from the manifest alone.
+
+Every value is checked once, when the config loads: its type against
+its default, its range by the typed object the commands build from its
+section, and a bad value raises :class:`ConfigError` naming its key.
 """
 
 from __future__ import annotations
@@ -11,11 +15,14 @@ from __future__ import annotations
 import copy
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
-from .attacks import DEFAULT_SAP_KERNELS
+from .attacks import DEFAULT_SAP_KERNELS, AttackSpec
+from .autodiff import next_pow2
 from .decorrelation import DecorConfig
 from .ensemble import AdamConfig, TrainConfig
+from .fourier import RingFilterBank, design_bank
 from .model import ArchConfig
 from .signals import SynthConfig
 
@@ -29,6 +36,8 @@ __all__ = [
     "synth_from_config",
     "train_from_config",
     "decor_from_config",
+    "bank_from_config",
+    "attack_cells",
 ]
 
 OUTPUT_ROOT_ENV = "DENSEMBLE_ROOT"
@@ -79,109 +88,78 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether `value` has the JSON type of `default`: any number where the
+    default is a float, a string or null where it is null, and a list of
+    the same length whose items fit item by item; a bool is never a number."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_fits, default, value)))
+    if isinstance(value, bool):
+        return False
+    if default is None:
+        return value is None or isinstance(value, str)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _kind(default) -> str:
+    if isinstance(default, list):
+        return "[" + ", ".join(map(_kind, default)) + "]"
+    return {float: "number", int: "integer", str: "string"}.get(type(default), "string or null")
+
+
 def _merge(defaults: dict, user: dict, path: str) -> dict:
+    """User values over the defaults, each typed like its default; a list
+    must be non-empty and each of its rows must fit the default's first row."""
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         dotted = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {dotted}")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{dotted}: expected a section (object)")
-            out[key] = _merge(defaults[key], value, dotted)
+            out[key] = _merge(default, value, dotted)
+            continue
+        if isinstance(default, list):
+            ok = isinstance(value, list) and value and all(_fits(default[0], v) for v in value)
+            expected = f"a non-empty list of {_kind(default[0])} items"
         else:
-            out[key] = copy.deepcopy(value)
+            ok, expected = _fits(default, value), _kind(default)
+        if not ok:
+            raise ConfigError(f"{dotted}: expected {expected}, got {value!r}")
+        out[key] = copy.deepcopy(value)
     return out
 
 
-def _require(cfg: dict, dotted: str, kinds, pred=None, what: str = "") -> None:
-    node = cfg
-    for part in dotted.split("."):
-        node = node[part]
-    if not isinstance(node, kinds) or isinstance(node, bool):
-        raise ConfigError(f"{dotted}: expected {what or kinds}")
-    if pred is not None and not pred(node):
-        raise ConfigError(f"{dotted}: invalid value {node!r}" + (f" ({what})" if what else ""))
-
-
-def _validate(cfg: dict) -> None:
-    num = (int, float)
-    _require(cfg, "data.source", str, lambda v: v in ("synthetic", "manifest"),
-             "one of 'synthetic'|'manifest'")
-    _require(cfg, "data.dir", str, lambda v: len(v) > 0, "non-empty path")
-    if cfg["data"]["source"] == "manifest" and not isinstance(cfg["data"]["manifest"], str):
-        raise ConfigError("data.manifest: required when data.source is 'manifest'")
-    _require(cfg, "data.num_classes", int, lambda v: v in (2, 3, 4), "2, 3 or 4")
-    _require(cfg, "data.records_per_class", int, lambda v: v >= 2, ">= 2")
-    _require(cfg, "data.length", int, lambda v: v >= 16, ">= 16")
-    _require(cfg, "data.sample_rate_hz", num, lambda v: v > 0, "> 0")
-    _require(cfg, "data.train_fraction", num, lambda v: 0 < v < 1, "in (0, 1)")
-    _require(cfg, "data.seeds.synth", int)
-    _require(cfg, "data.seeds.split", int)
-
-    blocks = cfg["arch"]["conv_blocks"]
-    if (
-        not isinstance(blocks, list)
-        or not blocks
-        or any(
-            not isinstance(b, list)
-            or len(b) != 3
-            or any(not isinstance(v, int) or v < 1 for v in b)
-            for b in blocks
-        )
-    ):
-        raise ConfigError("arch.conv_blocks: expected a list of [channels, kernel, stride]")
-    _require(cfg, "arch.feature_dim", int, lambda v: v >= 1, ">= 1")
-
-    _require(cfg, "train.epochs", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "train.batch_size", int, lambda v: v >= 2, ">= 2")
-    _require(cfg, "train.learning_rate", num, lambda v: v > 0, "> 0")
-    _require(cfg, "train.adam.beta1", num, lambda v: 0 <= v < 1, "in [0, 1)")
-    _require(cfg, "train.adam.beta2", num, lambda v: 0 <= v < 1, "in [0, 1)")
-    _require(cfg, "train.adam.eps", num, lambda v: v > 0, "> 0")
-    _require(cfg, "train.seeds.init", int)
-    _require(cfg, "train.seeds.shuffle", int)
-
-    _require(cfg, "decor.projection_dim", int, lambda v: v >= 1, ">= 1")
-    if cfg["decor"]["projection_dim"] > cfg["arch"]["feature_dim"]:
-        raise ConfigError("decor.projection_dim: must not exceed arch.feature_dim")
-    _require(cfg, "decor.weight", num, lambda v: v >= 0, ">= 0")
-    _require(cfg, "decor.stab_eps", num, lambda v: v > 0, "> 0")
-    _require(cfg, "decor.seed", int)
-
-    _require(cfg, "bank.cutoff", num, lambda v: 0 < v < 0.5, "in (0, 0.5)")
-    _require(cfg, "bank.transition_width", num, lambda v: v >= 0, ">= 0")
-
-    fams = cfg["attack"]["families"]
-    if not isinstance(fams, list) or not fams or any(f not in ("pgd", "sap") for f in fams):
-        raise ConfigError("attack.families: expected a non-empty list of 'pgd'|'sap'")
-    eps = cfg["attack"]["epsilons"]
-    if (
-        not isinstance(eps, list)
-        or not eps
-        or any(isinstance(e, bool) or not isinstance(e, (int, float)) or e < 0 for e in eps)
-    ):
-        raise ConfigError("attack.epsilons: expected a non-empty list of numbers >= 0")
-    _require(cfg, "attack.steps", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "attack.alpha_scale", num, lambda v: v > 0, "> 0")
-    kernels = cfg["attack"]["sap_kernels"]
-    if (
-        not isinstance(kernels, list)
-        or not kernels
-        or any(
-            not isinstance(k, list) or len(k) != 2
-            or not isinstance(k[0], int) or k[0] < 1 or k[0] % 2 == 0
-            or not isinstance(k[1], (int, float)) or k[1] <= 0
-            for k in kernels
-        )
-    ):
-        raise ConfigError("attack.sap_kernels: expected [odd_width, std>0] pairs")
-    _require(cfg, "output.root", str, lambda v: len(v) > 0, "non-empty path")
-
-
 def resolve_config(user: dict) -> dict:
+    """Merge `user` over the defaults and check every value, naming its
+    dotted key: each section's typed object checks its own ranges."""
     cfg = _merge(DEFAULT_CONFIG, user, "")
-    _validate(cfg)
+    for section, build, renames in _BUILDS:
+        try:
+            build(cfg)
+        except ValueError as exc:  # each owner's message starts "field: "
+            field, _, why = str(exc).partition(": ")
+            key = renames.get(field, field)
+            named = key if key.endswith(field) else f"{key} ({field})"
+            raise ConfigError(f"{section}.{named}: {why}") from None
+    data = cfg["data"]
+    for dotted, ok, what in (
+        ("data.source", data["source"] in ("synthetic", "manifest"),
+         "one of 'synthetic'|'manifest'"),
+        ("data.manifest", data["source"] != "manifest" or data["manifest"] is not None,
+         "set when data.source is 'manifest'"),
+        ("data.dir", data["dir"] != "", "a non-empty path"),
+        ("output.root", cfg["output"]["root"] != "", "a non-empty path"),
+        ("data.train_fraction", 0 < data["train_fraction"] < 1, "in (0, 1)"),
+        ("attack.alpha_scale", cfg["attack"]["alpha_scale"] > 0, "> 0"),
+        ("decor.projection_dim", cfg["decor"]["projection_dim"] <= cfg["arch"]["feature_dim"],
+         "<= arch.feature_dim"),
+    ):
+        if not ok:
+            raise ConfigError(f"{dotted}: must be {what}")
     return cfg
 
 
@@ -218,13 +196,7 @@ def arch_from_config(cfg: dict) -> ArchConfig:
 
 
 def synth_from_config(cfg: dict) -> SynthConfig:
-    d = cfg["data"]
-    return SynthConfig(
-        num_classes=d["num_classes"],
-        records_per_class=d["records_per_class"],
-        length=d["length"],
-        sample_rate_hz=d["sample_rate_hz"],
-    )
+    return SynthConfig(**{f.name: cfg["data"][f.name] for f in fields(SynthConfig)})
 
 
 def train_from_config(cfg: dict) -> TrainConfig:
@@ -233,17 +205,43 @@ def train_from_config(cfg: dict) -> TrainConfig:
         epochs=t["epochs"],
         batch_size=t["batch_size"],
         learning_rate=t["learning_rate"],
-        adam=AdamConfig(t["adam"]["beta1"], t["adam"]["beta2"], t["adam"]["eps"]),
+        adam=AdamConfig(**t["adam"]),
         init_seed=t["seeds"]["init"],
         shuffle_seed=t["seeds"]["shuffle"],
     )
 
 
 def decor_from_config(cfg: dict) -> DecorConfig:
-    d = cfg["decor"]
-    return DecorConfig(
-        projection_dim=d["projection_dim"],
-        weight=d["weight"],
-        stab_eps=d["stab_eps"],
-        seed=d["seed"],
+    return DecorConfig(**cfg["decor"])
+
+
+def bank_from_config(cfg: dict) -> RingFilterBank:
+    return design_bank(
+        next_pow2(cfg["data"]["length"]),
+        cfg["bank"]["cutoff"],
+        cfg["bank"]["transition_width"],
     )
+
+
+def attack_cells(cfg: dict) -> list[tuple[str, AttackSpec]]:
+    """(cell dir name, spec) for every cell of the attack grid."""
+    a = cfg["attack"]
+    return [
+        (f"{fam}_eps{i:02d}",
+         AttackSpec.make(fam, eps, steps=a["steps"], alpha=eps * a["alpha_scale"],
+                         kernel_bank=[tuple(k) for k in a["sap_kernels"]]))
+        for fam in a["families"] for i, eps in enumerate(a["epsilons"])
+    ]
+
+
+# The typed object of each section, in the order resolve_config builds
+# them, with the fields whose name differs from their key in the section.
+_BUILDS = (
+    ("data", synth_from_config, {}),
+    ("arch", arch_from_config, {}),
+    ("train", train_from_config, {f: f"adam.{f}" for f in ("beta1", "beta2", "eps")}),
+    ("decor", decor_from_config, {}),
+    ("bank", bank_from_config, {}),
+    ("attack", attack_cells, {"family": "families", "eps": "epsilons",
+                              "alpha": "alpha_scale", "kernel_bank": "sap_kernels"}),
+)

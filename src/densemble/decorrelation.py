@@ -47,11 +47,11 @@ class DecorConfig:
 
     def __post_init__(self):
         if self.projection_dim < 1:
-            raise ValueError("projection_dim must be positive")
+            raise ValueError(f"projection_dim: must be >= 1, got {self.projection_dim!r}")
         if self.weight < 0:
-            raise ValueError("weight must be >= 0")
+            raise ValueError(f"weight: must be >= 0, got {self.weight!r}")
         if self.stab_eps <= 0:
-            raise ValueError("stab_eps must be > 0")
+            raise ValueError(f"stab_eps: must be > 0, got {self.stab_eps!r}")
 
 
 def correlation_r2(zr, zt) -> float:

@@ -77,6 +77,13 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
+        if self.eps <= 0:
+            raise ValueError(f"eps: must be > 0, got {self.eps!r}")
+
 
 @dataclass
 class AdamState:
@@ -123,8 +130,11 @@ class TrainConfig:
     shuffle_seed: int = field(kw_only=True)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 2 or self.learning_rate <= 0:
-            raise ValueError("invalid training configuration")
+        for name, low in (("epochs", 1), ("batch_size", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate!r}")
 
 
 def batch_schedule(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray]:

@@ -40,12 +40,14 @@ def design_bank(
     complement, so the two responses sum to one at every bin.
     """
     if length < 2:
-        raise ValueError("bank length must be >= 2")
+        raise ValueError(f"length: must be >= 2, got {length!r}")
+    if transition_width < 0:
+        raise ValueError(f"transition_width: must be >= 0, got {transition_width!r}")
     lo = cutoff - transition_width / 2.0
     hi = cutoff + transition_width / 2.0
-    if transition_width < 0 or not (0.0 < lo and hi < 0.5):
+    if not (0.0 < lo and hi < 0.5):
         raise ValueError(
-            f"cutoff +/- transition_width/2 must lie inside (0, 0.5); got [{lo}, {hi}]"
+            f"cutoff: cutoff +/- transition_width/2 must lie inside (0, 0.5); got [{lo}, {hi}]"
         )
 
     k = np.arange(length)

@@ -37,11 +37,12 @@ class ArchConfig:
     input_length: int = 512
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.num_classes < 2 or self.input_length < 1:
-            raise ValueError("invalid architecture sizes")
+        for name, low in (("feature_dim", 1), ("num_classes", 2), ("input_length", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
         for ch, k, s in self.conv_blocks:
             if ch < 1 or k < 1 or s < 1:
-                raise ValueError(f"invalid conv block ({ch}, {k}, {s})")
+                raise ValueError(f"conv_blocks: need sizes >= 1, got ({ch}, {k}, {s})")
 
     def to_dict(self) -> dict:
         return {

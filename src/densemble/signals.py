@@ -11,6 +11,7 @@ partially discriminative.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,11 +78,12 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.num_classes not in (2, 3, 4):
-            raise ValueError("num_classes must be 2, 3 or 4")
-        if self.records_per_class < 2:
-            raise ValueError("records_per_class must be >= 2")
-        if self.length < 16 or self.sample_rate_hz <= 0:
-            raise ValueError("invalid length or sample rate")
+            raise ValueError(f"num_classes: must be 2, 3 or 4, got {self.num_classes!r}")
+        for name, low in (("records_per_class", 2), ("length", 16)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        if self.sample_rate_hz <= 0:
+            raise ValueError(f"sample_rate_hz: must be > 0, got {self.sample_rate_hz!r}")
 
 
 def _gaussian_bumps(t: np.ndarray, centers, amp: float, width: float) -> np.ndarray:
@@ -181,13 +183,16 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise ValueError(
                 f"{manifest_path}: manifest header must be {','.join(MANIFEST_HEADER)}"
             )
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ValueError(f"{manifest_path}: no records")
 
     label_names: list[str] = []
     records = []
-    for rid, label_str, rel in rows:
+    for ln, row in rows:
+        if len(row) != 3:
+            raise ValueError(f"{manifest_path}:{ln}: expected 3 columns, got {len(row)}")
+        rid, label_str, rel = row
         if label_str not in label_names:
             label_names.append(label_str)
         path = base / rel
@@ -199,7 +204,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
 
 def read_signal(path: str | Path) -> np.ndarray:
-    """One float per line; a bad value fails as ``path:line``."""
+    """One finite float per line; a bad value fails as ``path:line``."""
     values = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -207,9 +212,12 @@ def read_signal(path: str | Path) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path}:{ln}: unparsable float {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{ln}: non-finite value {line!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: empty signal")
     return np.array(values, dtype=np.float64)

@@ -187,6 +187,15 @@ class TestCraftSet:
         with pytest.raises(ValueError, match=re.escape(f"{bad}:3:")):
             load_attacked_set(tmp_path / "cell")
 
+    def test_short_signal_names_its_file(self, toy, tmp_path):
+        params, x, y, ids = toy
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params)
+        save_attacked_set(aset, tmp_path / "cell")
+        short = tmp_path / "cell" / "perturbed" / f"{ids[1]}.txt"
+        short.write_text("\n".join(short.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(short))):
+            load_attacked_set(tmp_path / "cell")
+
     def test_missing_index_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_attacked_set(tmp_path / "nope")

@@ -69,11 +69,64 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "data.recrods_per_class" in capsys.readouterr().err
 
 
-def test_invalid_value_exits_2_with_key_path(tmp_path, capsys):
+# One bad value per checked key: (dotted key named in the error, config).
+BAD_VALUES = [
+    ("data.source", {"data": {"source": "database"}}),
+    ("data.source", {"data": {"source": 1}}),
+    ("data.dir", {"data": {"dir": ""}}),
+    ("data.manifest", {"data": {"source": "manifest"}}),
+    ("data.manifest", {"data": {"manifest": 3}}),
+    ("data.num_classes", {"data": {"num_classes": 5}}),
+    ("data.num_classes", {"data": {"num_classes": 2.5}}),
+    ("data.records_per_class", {"data": {"records_per_class": 1}}),
+    ("data.length", {"data": {"length": 8}}),
+    ("data.sample_rate_hz", {"data": {"sample_rate_hz": 0}}),
+    ("data.sample_rate_hz", {"data": {"sample_rate_hz": True}}),
+    ("data.train_fraction", {"data": {"train_fraction": 1.0}}),
+    ("data.seeds.synth", {"data": {"seeds": {"synth": "1"}}}),
+    ("data.seeds.split", {"data": {"seeds": {"split": 1.5}}}),
+    ("arch.conv_blocks", {"arch": {"conv_blocks": []}}),
+    ("arch.conv_blocks", {"arch": {"conv_blocks": [[8, 7]]}}),
+    ("arch.conv_blocks", {"arch": {"conv_blocks": [[8, 0, 2]]}}),
+    ("arch.feature_dim", {"arch": {"feature_dim": 0}}),
+    ("train.epochs", {"train": {"epochs": 0}}),
+    ("train.batch_size", {"train": {"batch_size": 1}}),
+    ("train.learning_rate", {"train": {"learning_rate": 0}}),
+    ("train.learning_rate", {"train": {"learning_rate": "fast"}}),
+    ("train.adam.beta1", {"train": {"adam": {"beta1": 1.0}}}),
+    ("train.adam.beta2", {"train": {"adam": {"beta2": -0.1}}}),
+    ("train.adam.eps", {"train": {"adam": {"eps": 0}}}),
+    ("train.seeds.init", {"train": {"seeds": {"init": True}}}),
+    ("train.seeds.shuffle", {"train": {"seeds": {"shuffle": None}}}),
+    ("decor.projection_dim", {"decor": {"projection_dim": 0}}),
+    ("decor.projection_dim", {"decor": {"projection_dim": 65}}),
+    ("decor.weight", {"decor": {"weight": -0.5}}),
+    ("decor.stab_eps", {"decor": {"stab_eps": 0}}),
+    ("decor.seed", {"decor": {"seed": "505"}}),
+    ("bank.cutoff", {"bank": {"cutoff": 0.5}}),
+    ("bank.transition_width", {"bank": {"transition_width": -0.1}}),
+    ("bank.cutoff", {"bank": {"cutoff": 0.45, "transition_width": 0.2}}),
+    ("attack.families", {"attack": {"families": ["fgsm"]}}),
+    ("attack.families", {"attack": {"families": []}}),
+    ("attack.epsilons", {"attack": {"epsilons": [0.1, -0.1]}}),
+    ("attack.epsilons", {"attack": {"epsilons": ["0.1"]}}),
+    ("attack.steps", {"attack": {"steps": 0}}),
+    ("attack.alpha_scale", {"attack": {"alpha_scale": 0}}),
+    ("attack.alpha_scale", {"attack": {"alpha_scale": -0.1}}),
+    ("attack.sap_kernels", {"attack": {"sap_kernels": [[4, 1.0]]}}),
+    ("attack.sap_kernels", {"attack": {"sap_kernels": [[5, 0]]}}),
+    ("attack.sap_kernels", {"attack": {"sap_kernels": [[5]]}}),
+    ("output.root", {"output": {"root": ""}}),
+]
+
+
+@pytest.mark.parametrize("key,bad", BAD_VALUES)
+def test_invalid_value_exits_2_with_key_path(tmp_path, capsys, key, bad):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"train": {"epochs": 0}}))
+    cfg_path.write_text(json.dumps({"output": {"root": str(tmp_path)}, **bad}))
     assert run_cli("generate-data", "--config", str(cfg_path), "--out", "x") == 2
-    assert "train.epochs" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,22 @@ class TestManifestRoundtrip:
         path = tmp_path / "manifest.csv"
         path.write_text("record_id,label,path\nx,0,x.txt\n")
         with pytest.raises(ValueError, match="unparsable"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, bad):
+        (tmp_path / "x.txt").write_text(f"1.0\n2.0\n{bad}\n")
+        path = tmp_path / "manifest.csv"
+        path.write_text("record_id,label,path\nx,0,x.txt\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'x.txt'}:3:")):
+            load_dataset(path)
+
+    def test_row_with_extra_column_names_manifest_line(self, tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.txt").write_text("1.0\n")
+        path = tmp_path / "manifest.csv"
+        path.write_text("record_id,label,path\na,0,a.txt\nb,1,b.txt,extra\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
             load_dataset(path)
 
     def test_empty_signal(self, tmp_path):
