@@ -64,21 +64,17 @@ def _load_splits(cfg: dict):
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if cfg["data"]["source"] != "synthetic":
+    data = cfg["data"]
+    if data["source"] != "synthetic":
         raise ConfigError("generate-data requires data.source == 'synthetic'")
     out_dir = resolve_path(cfg, args.out)
-    ds = synthesize(synth_from_config(cfg), cfg["data"]["seeds"]["synth"])
+    ds = synthesize(synth_from_config(cfg), data["seeds"]["synth"])
     save_dataset(ds, out_dir)
-    train_raw, test_raw = split(ds, cfg["data"]["train_fraction"], cfg["data"]["seeds"]["split"])
-    write_json(
-        out_dir / "split.json",
-        {
-            "train_fraction": cfg["data"]["train_fraction"],
-            "seed": cfg["data"]["seeds"]["split"],
-            "train_ids": train_raw.ids(),
-            "test_ids": test_raw.ids(),
-        },
-    )
+    train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
+    write_json(out_dir / "split.json", {
+        "train_fraction": data["train_fraction"], "seed": data["seeds"]["split"],
+        "train_ids": train_raw.ids(), "test_ids": test_raw.ids(),
+    })
     _write_manifest(out_dir, "generate-data", cfg, {"out": args.out})
     print(f"generated {len(ds)} records in {out_dir}")
     return 0
@@ -201,38 +197,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kinds = _discover_kinds(ensemble_dir)
     bank = bank_from_config(cfg)
     train, test = _load_splits(cfg)
-    x_nat, y_nat = test.signals_matrix(), test.labels_array()
-
     arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids()) for kind in kinds}
 
-    cells = []
+    # (attack, epsilon, inputs, labels, mask); the natural test set first
+    cells = [("none", 0.0, test.signals_matrix(), test.labels_array(), None)]
     for name, spec in attack_cells(cfg):
         cell = attacks_dir / name
         if not (cell / "index.csv").exists():
             raise FileNotFoundError(f"missing artifact: {cell / 'index.csv'}")
-        cells.append((spec.family, spec.eps, load_attacked_set(cell)))
+        aset = load_attacked_set(cell)
+        cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
 
     rows = []
     correlations = {}
     for kind in kinds:
         arms, feats = arms_by_kind[kind]
-        roles = arm_roles(kind)
-        nat = evaluate_arms(arms, roles, x_nat, y_nat, None, bank)
-        rows.append([kind, "none", 0.0, nat["average"], nat["p1"], nat["p2"], nat["p3"],
-                     nat["n_masked"]])
-        for fam, eps, aset in cells:
-            m = evaluate_arms(arms, roles, aset.perturbed, aset.labels, aset.mask, bank)
-            rows.append([kind, fam, eps, m["average"], m["p1"], m["p2"], m["p3"],
-                         m["n_masked"]])
+        for fam, eps, x, y, mask in cells:
+            m = evaluate_arms(arms, arm_roles(kind), x, y, mask, bank)
+            rows.append([kind, fam, repr(float(eps))]
+                        + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
         correlations[kind] = correlation_report(feats)
 
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"])
-        for kind, fam, eps, avg, p1, p2, p3, n in rows:
-            writer.writerow([kind, fam, repr(float(eps)), repr(avg), repr(p1), repr(p2),
-                             repr(p3), n])
+        writer.writerows(rows)
     write_json(report_path.parent / "correlation.json", correlations)
     _write_manifest(report_path.parent, "evaluate", cfg,
                     {"ensemble_dir": args.ensemble_dir, "attacks": args.attacks,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -89,23 +90,24 @@ DEFAULT_CONFIG: dict = {
 
 
 def _fits(default, value) -> bool:
-    """Whether `value` has the JSON type of `default`: any number where the
-    default is a float, a string or null where it is null, and a list of
-    the same length whose items fit item by item; a bool is never a number."""
+    """Whether `value` has the JSON type of `default`: a finite number (not
+    a bool) where the default is a float, a string or null where it is
+    null, and a list of the same length whose items fit item by item."""
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) == len(default)
                 and all(map(_fits, default, value)))
-    if isinstance(value, bool):
-        return False
     if default is None:
         return value is None or isinstance(value, str)
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 def _kind(default) -> str:
     if isinstance(default, list):
         return "[" + ", ".join(map(_kind, default)) + "]"
-    return {float: "number", int: "integer", str: "string"}.get(type(default), "string or null")
+    kinds = {float: "finite number", int: "integer", str: "string"}
+    return kinds.get(type(default), "string or null")
 
 
 def _merge(defaults: dict, user: dict, path: str) -> dict:
@@ -140,9 +142,11 @@ def resolve_config(user: dict) -> dict:
     for section, build, renames in _BUILDS:
         try:
             build(cfg)
-        except ValueError as exc:  # each owner's message starts "field: "
+        except ValueError as exc:  # "field: why", see _BUILDS
             field, _, why = str(exc).partition(": ")
             key = renames.get(field, field)
+            if key.split(".")[0] not in cfg[section]:  # no such key: name the section
+                raise ConfigError(f"{section}: {exc}") from None
             named = key if key.endswith(field) else f"{key} ({field})"
             raise ConfigError(f"{section}.{named}: {why}") from None
     data = cfg["data"]
@@ -234,14 +238,19 @@ def attack_cells(cfg: dict) -> list[tuple[str, AttackSpec]]:
     ]
 
 
-# The typed object of each section, in the order resolve_config builds
+# The typed objects of each section, in the order resolve_config builds
 # them, with the fields whose name differs from their key in the section.
+# Each owner's ValueError starts with the field it rejects ("field: why").
+# The extra sap spec checks attack.sap_kernels whatever attack.families is.
 _BUILDS = (
     ("data", synth_from_config, {}),
     ("arch", arch_from_config, {}),
     ("train", train_from_config, {f: f"adam.{f}" for f in ("beta1", "beta2", "eps")}),
     ("decor", decor_from_config, {}),
     ("bank", bank_from_config, {}),
-    ("attack", attack_cells, {"family": "families", "eps": "epsilons",
-                              "alpha": "alpha_scale", "kernel_bank": "sap_kernels"}),
+    ("attack",
+     lambda cfg: (attack_cells(cfg),
+                  AttackSpec.make("sap", 0.0, kernel_bank=cfg["attack"]["sap_kernels"])),
+     {"family": "families", "eps": "epsilons", "alpha": "alpha_scale",
+      "kernel_bank": "sap_kernels"}),
 )

@@ -212,15 +212,17 @@ def read_signal(path: str | Path) -> np.ndarray:
             if not line:
                 continue
             try:
-                value = float(line)
+                values.append(float(line))
             except ValueError:
                 raise ValueError(f"{path}:{ln}: unparsable float {line!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{ln}: non-finite value {line!r}")
-            values.append(value)
     if not values:
         raise ValueError(f"{path}: empty signal")
-    return np.array(values, dtype=np.float64)
+    signal = np.array(values, dtype=np.float64)
+    if not np.isfinite(signal).all():  # rare, so re-read the file to name the line
+        lines = enumerate(Path(path).read_text().split("\n"), 1)
+        ln, line = next((ln, s) for ln, s in lines if s.strip() and not math.isfinite(float(s)))
+        raise ValueError(f"{path}:{ln}: non-finite value {line.strip()!r}")
+    return signal
 
 
 def write_signal(path: str | Path, values: np.ndarray) -> None:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from densemble import config
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
 
 from conftest import read_report, run_cli
@@ -117,6 +118,16 @@ BAD_VALUES = [
     ("attack.sap_kernels", {"attack": {"sap_kernels": [[5, 0]]}}),
     ("attack.sap_kernels", {"attack": {"sap_kernels": [[5]]}}),
     ("output.root", {"output": {"root": ""}}),
+    # json.load parses NaN and Infinity
+    ("data.sample_rate_hz", {"data": {"sample_rate_hz": float("nan")}}),
+    ("train.learning_rate", {"train": {"learning_rate": float("nan")}}),
+    ("train.learning_rate", {"train": {"learning_rate": float("inf")}}),
+    ("train.adam.eps", {"train": {"adam": {"eps": float("nan")}}}),
+    ("decor.weight", {"decor": {"weight": float("nan")}}),
+    ("decor.stab_eps", {"decor": {"stab_eps": float("nan")}}),
+    ("attack.epsilons", {"attack": {"epsilons": [0.1, float("nan")]}}),
+    # the kernels are checked even when sap is not run
+    ("attack.sap_kernels", {"attack": {"families": ["pgd"], "sap_kernels": [[4, 1.0]]}}),
 ]
 
 
@@ -127,6 +138,14 @@ def test_invalid_value_exits_2_with_key_path(tmp_path, capsys, key, bad):
     assert run_cli("generate-data", "--config", str(cfg_path), "--out", "x") == 2
     assert key in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_owner_error_without_field_names_its_section(monkeypatch):
+    def build(cfg):
+        raise ValueError("kernel too wide: 99")
+    monkeypatch.setattr(config, "_BUILDS", (("bank", build, {}),))
+    with pytest.raises(config.ConfigError, match=r"^bank: kernel too wide: 99$"):
+        config.resolve_config({})
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -132,7 +132,7 @@ class TestManifestRoundtrip:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_file_and_line(self, tmp_path, bad):
-        (tmp_path / "x.txt").write_text(f"1.0\n2.0\n{bad}\n")
+        (tmp_path / "x.txt").write_text(f"1.0\n\n{bad}\n2.0\n")  # blank lines count
         path = tmp_path / "manifest.csv"
         path.write_text("record_id,label,path\nx,0,x.txt\n")
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'x.txt'}:3:")):
