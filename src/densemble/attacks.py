@@ -13,8 +13,6 @@ Attacks are deterministic: no random start, sgn(0) = 0.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ClassifierParams, forward, predict
 from .signals import read_signal, write_signal
-from .storage import write_json
+from .storage import read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "DEFAULT_SAP_KERNELS",
@@ -37,6 +35,8 @@ __all__ = [
     "save_attacked_set",
     "load_attacked_set",
 ]
+
+INDEX_HEADER = ["record_id", "label", "masked", "linf_delta"]
 
 # (width in samples, std in samples); widths odd, std = width / 4.
 DEFAULT_SAP_KERNELS = ((5, 1.25), (9, 2.25), (13, 3.25), (17, 4.25), (21, 5.25))
@@ -195,19 +195,11 @@ def craft_set(
 
 
 def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
+    """Signals, manifest, then ``index.csv``: a cell with an index is complete."""
     out_dir = Path(out_dir)
     for sub, matrix in (("natural", aset.natural), ("perturbed", aset.perturbed)):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
         for rid, row in zip(aset.ids, matrix):
             write_signal(out_dir / sub / f"{rid}.txt", row)
-    deltas = aset.linf_deltas()
-    with open(out_dir / "index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "label", "masked", "linf_delta"])
-        for i, rid in enumerate(aset.ids):
-            writer.writerow(
-                [rid, int(aset.labels[i]), int(aset.mask[i]), repr(float(deltas[i]))]
-            )
     manifest = {
         "family": aset.spec.family,
         "epsilon": aset.spec.eps,
@@ -217,23 +209,27 @@ def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
         "target_model_id": aset.target_model_id,
     }
     write_json(out_dir / "attack_manifest.json", manifest)
+    deltas = aset.linf_deltas()
+    write_csv(out_dir / "index.csv", INDEX_HEADER, [
+        [rid, int(aset.labels[i]), int(aset.mask[i]), repr(float(deltas[i]))]
+        for i, rid in enumerate(aset.ids)
+    ])
 
 
 def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     in_dir = Path(in_dir)
     index = in_dir / "index.csv"
     if not index.exists():
-        raise FileNotFoundError(f"missing attacked-set index: {index}")
-    with open(in_dir / "attack_manifest.json") as fh:
-        manifest = json.load(fh)
+        raise FileNotFoundError(f"missing artifact: {index}")
+    manifest = read_json(in_dir / "attack_manifest.json")
     ids, labels, mask = [], [], []
-    with open(index, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rid, label, masked, _delta in reader:
-            ids.append(rid)
+    for ln, (rid, label, masked, _delta) in read_csv(index, INDEX_HEADER):
+        try:
             labels.append(int(label))
             mask.append(bool(int(masked)))
+        except ValueError as exc:
+            raise ValueError(f"{index}:{ln}: {exc}") from None
+        ids.append(rid)
     paths = [in_dir / sub / f"{rid}.txt" for sub in ("natural", "perturbed") for rid in ids]
     rows = [read_signal(p) for p in paths]
     common = np.bincount([len(r) for r in rows]).argmax()

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -37,15 +36,13 @@ from .ensemble import (
 )
 from .model import load_params, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
-from .storage import write_json
+from .storage import write_csv, write_json
 
 __all__ = ["main", "entry"]
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, args: dict) -> None:
-    manifest = {"command": command, "args": args, "config": cfg}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "run_manifest.json", manifest)
+    write_json(out_dir / "run_manifest.json", {"command": command, "args": args, "config": cfg})
 
 
 def _load_splits(cfg: dict):
@@ -83,11 +80,8 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
 def _write_curve(path: Path, curve: list[dict]) -> None:
     has_cor = any("cor" in row for row in curve)
     columns = ["epoch", "ce"] + (["cor"] if has_cor else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in curve:
-            writer.writerow([row["epoch"]] + [repr(row[c]) for c in columns[1:]])
+    write_csv(path, columns,
+              [[row["epoch"]] + [repr(row[c]) for c in columns[1:]] for row in curve])
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -114,7 +108,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         decor_from_config(cfg),
         bank,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     for k, res in enumerate(results):
         save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
         save_cache(res.cache, out_dir / f"arm{k}.cache")
@@ -202,10 +195,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # (attack, epsilon, inputs, labels, mask); the natural test set first
     cells = [("none", 0.0, test.signals_matrix(), test.labels_array(), None)]
     for name, spec in attack_cells(cfg):
-        cell = attacks_dir / name
-        if not (cell / "index.csv").exists():
-            raise FileNotFoundError(f"missing artifact: {cell / 'index.csv'}")
-        aset = load_attacked_set(cell)
+        aset = load_attacked_set(attacks_dir / name)
+        if aset.spec != spec or aset.ids != test.ids():
+            raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with "
+                               "another attack grid or test split; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
 
     rows = []
@@ -218,11 +211,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
         correlations[kind] = correlation_report(feats)
 
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"])
-        writer.writerows(rows)
+    write_csv(report_path,
+              ["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"], rows)
     write_json(report_path.parent / "correlation.json", correlations)
     _write_manifest(report_path.parent, "evaluate", cfg,
                     {"ensemble_dir": args.ensemble_dir, "attacks": args.attacks,

@@ -13,7 +13,6 @@ section, and a bad value raises :class:`ConfigError` naming its key.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import os
 from dataclasses import fields
@@ -26,6 +25,7 @@ from .ensemble import AdamConfig, TrainConfig
 from .fourier import RingFilterBank, design_bank
 from .model import ArchConfig
 from .signals import SynthConfig
+from .storage import read_json
 
 __all__ = [
     "ConfigError",
@@ -169,12 +169,11 @@ def resolve_config(user: dict) -> dict:
 
 def load_config(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
-            user = json.load(fh)
+        user = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return resolve_config(user)

@@ -168,6 +168,15 @@ def _arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank | None) -> np.n
     return apply_band(bank, role.band, x)
 
 
+def _check_decor_batches(n: int, arch: ArchConfig, cfg: TrainConfig, decor: DecorConfig) -> None:
+    min_batch = min(cfg.batch_size, n)
+    for what, name, dim in (("decorrelation", "projection_dim", decor.projection_dim),
+                            ("decorrelation regression", "feature_dim", arch.feature_dim)):
+        if min_batch <= dim + 1:
+            raise ValueError(f"{what} needs batches larger than {name}+1={dim + 1}, "
+                             f"got {min_batch}")
+
+
 def train_arm(
     k: int,
     role: ArmRole,
@@ -191,17 +200,7 @@ def train_arm(
     view = _arm_view(train_x, role, bank)
     active = role.decorrelate and decor_cfg.weight > 0 and len(caches) > 0
     if active:
-        min_batch = min(cfg.batch_size, n)
-        if min_batch <= decor_cfg.projection_dim + 1:
-            raise ValueError(
-                f"decorrelation needs batches larger than projection_dim+1="
-                f"{decor_cfg.projection_dim + 1}, got {min_batch}"
-            )
-        if min_batch <= arch.feature_dim + 1:
-            raise ValueError(
-                f"decorrelation regression needs batches larger than "
-                f"feature_dim+1={arch.feature_dim + 1}, got {min_batch}"
-            )
+        _check_decor_batches(n, arch, cfg, decor_cfg)
 
     params = init_params(arch, np.random.SeedSequence([cfg.init_seed, k]))
     state = AdamState.init(params.tensors)
@@ -247,18 +246,22 @@ def train_ensemble(
 ) -> list[ArmResult]:
     """Train the three arms strictly sequentially; each decorrelating arm
     sees the caches of every arm trained before it."""
+    roles = arm_roles(kind)
     results: list[ArmResult] = []
-    for k, role in enumerate(arm_roles(kind)):
-        caches = [r.cache for r in results] if role.decorrelate else []
-        try:
+    try:
+        for k, role in enumerate(roles):  # check every arm's batches before any trains
+            if role.decorrelate and decor_cfg.weight > 0 and k > 0:
+                _check_decor_batches(train_x.shape[0], arch, cfg, decor_cfg)
+        for k, role in enumerate(roles):
+            caches = [r.cache for r in results] if role.decorrelate else []
             results.append(
                 train_arm(
                     k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
                     caches, bank,
                 )
             )
-        except Exception as exc:
-            raise RuntimeError(f"arm {k} of {kind} failed: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"arm {k} of {kind} failed: {exc}") from exc
     return results
 
 

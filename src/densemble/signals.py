@@ -10,12 +10,13 @@ partially discriminative.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .storage import read_csv, write_bytes, write_csv
 
 __all__ = [
     "Record",
@@ -171,28 +172,10 @@ MANIFEST_HEADER = ["record_id", "label", "path"]
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load records listed in a manifest CSV; labels become dense indices
     in first-appearance order."""
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{manifest_path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise ValueError(
-                f"{manifest_path}: manifest header must be {','.join(MANIFEST_HEADER)}"
-            )
-        rows = [(reader.line_num, row) for row in reader]
-    if not rows:
-        raise ValueError(f"{manifest_path}: no records")
-
+    base = Path(manifest_path).parent
     label_names: list[str] = []
     records = []
-    for ln, row in rows:
-        if len(row) != 3:
-            raise ValueError(f"{manifest_path}:{ln}: expected 3 columns, got {len(row)}")
-        rid, label_str, rel = row
+    for _, (rid, label_str, rel) in read_csv(manifest_path, MANIFEST_HEADER):
         if label_str not in label_names:
             label_names.append(label_str)
         path = base / rel
@@ -227,26 +210,19 @@ def read_signal(path: str | Path) -> np.ndarray:
 
 def write_signal(path: str | Path, values: np.ndarray) -> None:
     """One repr() float per line, so :func:`read_signal` gets every bit back."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(repr(float(v)) for v in values))
-        fh.write("\n")
+    write_bytes(path, ("\n".join(repr(float(v)) for v in values) + "\n").encode("utf-8"))
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     """Write manifest + one signal file per record; returns the manifest path."""
     out_dir = Path(out_dir)
-    sig_dir = out_dir / "signals"
-    sig_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for rec in ds.records:
         rel = f"signals/{rec.id}.txt"
         write_signal(out_dir / rel, rec.signal)
         rows.append([rec.id, ds.label_names[rec.label], rel])
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+    write_csv(manifest, MANIFEST_HEADER, rows)
     return manifest
 
 

@@ -1,17 +1,25 @@
-"""Artifact writers: the versioned binary container for parameters and
-feature caches, and the JSON text files.
+"""Artifact files: every write goes through here, as does every CSV read.
+
+:func:`write_bytes` writes ``<name>.tmp`` beside the target and renames it
+over the target, so a killed process leaves the old file (or none), never
+a half-written one; there is no fsync, so this does not cover power loss.
+Writing the same content twice produces identical bytes, which the
+reproducibility checks rely on.
 
 Container layout: 4-byte magic, big-endian uint32 header length, a
 sorted-keys JSON header (metadata plus an array index), then the raw
 array payload.  JSON artifacts (run manifests, split, correlation and
-attack manifests) all go through :func:`write_json`: sorted keys, indent
-2, trailing newline.  Writing the same content twice produces identical
-bytes, which the reproducibility checks rely on.
+attack manifests): sorted keys, indent 2, trailing newline.  CSV artifacts
+(dataset manifest, loss curves, attacked-set index, report): the default
+``csv`` dialect, so lines end in ``\r\n``; a bad row fails as ``path:line``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -20,7 +28,19 @@ import numpy as np
 MAGIC = b"DENS"
 FORMAT_VERSION = 1
 
-__all__ = ["write_container", "read_container", "write_json", "FORMAT_VERSION"]
+__all__ = ["write_bytes", "write_container", "read_container", "write_json", "read_json",
+           "write_csv", "read_csv", "FORMAT_VERSION"]
+
+
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write `data` whole, creating the parent directory: into
+    ``<name>.tmp`` first, then renamed over `path`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -28,31 +48,19 @@ def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray
     chunks = []
     offset = 0
     for name, arr in arrays.items():
+        arr = np.asarray(arr)
         buf = np.ascontiguousarray(arr).tobytes()
-        index.append(
-            {
-                "name": name,
-                "dtype": np.asarray(arr).dtype.str,
-                "shape": list(np.asarray(arr).shape),
-                "offset": offset,
-                "nbytes": len(buf),
-            }
-        )
+        index.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                      "offset": offset, "nbytes": len(buf)})
         chunks.append(buf)
         offset += len(buf)
     meta = {"format_version": FORMAT_VERSION, **header, "arrays": index}
     hjson = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(">I", len(hjson)))
-        fh.write(hjson)
-        for buf in chunks:
-            fh.write(buf)
+    write_bytes(path, b"".join([MAGIC, struct.pack(">I", len(hjson)), hjson, *chunks]))
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a recognized container file")
     (hlen,) = struct.unpack(">I", blob[4:8])
@@ -81,6 +89,33 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def write_json(path: str | Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_bytes(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def read_json(path: str | Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # bad JSON, or bytes that are not text
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_bytes(path, buf.getvalue().encode("utf-8"))
+
+
+def read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """(line, row) pairs after `header`; a bad header, no rows or a bad width fail."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ValueError(f"{path}: header must be {','.join(header)}")
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows:
+        raise ValueError(f"{path}: no records")
+    for ln, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{ln}: expected {len(header)} columns, got {len(row)}")
+    return rows

@@ -330,3 +330,50 @@ def test_env_var_overrides_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("DENSEMBLE_ROOT", str(tmp_path / "rooted"))
     assert run_cli("generate-data", "--config", str(cfg_path), "--out", "data") == 0
     assert (tmp_path / "rooted" / "data" / "manifest.csv").exists()
+
+
+def test_evaluate_refuses_attacked_sets_of_another_grid(workdir, capsys):
+    tmp_path, cfg = workdir
+    other = json.loads((tmp_path / "config.json").read_text())
+    other["attack"] = dict(other["attack"], epsilons=[0.1, 0.5])
+    (tmp_path / "attack_config.json").write_text(json.dumps(other))
+    other["attack"]["epsilons"] = [0.3, 1.5]
+    (tmp_path / "evaluate_config.json").write_text(json.dumps(other))
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", str(tmp_path / "attack_config.json"),
+                   "--ensemble-dir", "ens", "--out", "atk") == 0
+    assert run_cli("evaluate", "--config", str(tmp_path / "evaluate_config.json"),
+                   "--ensemble-dir", "ens", "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert str(tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_evaluate_refuses_attacked_set_of_another_split(attacked, capsys):
+    tmp_path, cfg = attacked
+    index = tmp_path / "atk" / "sap_eps01" / "index.csv"
+    header, *rows = index.read_text().splitlines()
+    index.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert str(index.parent / "attack_manifest.json") in capsys.readouterr().err
+
+
+def test_evaluate_index_row_of_wrong_width_names_line(attacked, capsys):
+    tmp_path, cfg = attacked
+    index = tmp_path / "atk" / "pgd_eps02" / "index.csv"
+    lines = index.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    index.write_text("\n".join(lines) + "\n")
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{index}:3: expected 4 columns, got 3" in capsys.readouterr().err
+
+
+def test_evaluate_truncated_attack_manifest_names_file(attacked, capsys):
+    tmp_path, cfg = attacked
+    manifest = tmp_path / "atk" / "sap_eps03" / "attack_manifest.json"
+    manifest.write_text(manifest.read_text()[:40])
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{manifest}: invalid JSON" in capsys.readouterr().err

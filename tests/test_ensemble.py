@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from densemble import ensemble
 from densemble.autodiff import next_pow2
 from densemble.decorrelation import DecorConfig
 from densemble.ensemble import (
@@ -214,6 +217,24 @@ class TestTraining:
         with pytest.raises(ValueError, match="projection_dim"):
             train_arm(1, ArmRole(None, True), x, y, ids, ARCH, small_batches,
                       tight, [base.cache])
+
+    def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
+        train, _ = small_data
+        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        calls = []
+        real = ensemble.train_arm
+        monkeypatch.setattr(ensemble, "train_arm",
+                            lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        arch = ArchConfig(conv_blocks=((4, 5, 2),), feature_dim=8, num_classes=3,
+                          input_length=64)
+        small_batches = TrainConfig(epochs=1, batch_size=9, learning_rate=1e-3,
+                                    init_seed=5, shuffle_seed=6)
+        decor = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=7)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "arm 1 of dec failed: decorrelation regression needs batches larger than "
+                "feature_dim+1=9, got 9")):
+            train_ensemble("dec", x, y, ids, arch, small_batches, decor)
+        assert calls == []
 
     def test_curve_columns(self, small_data):
         train, _ = small_data

@@ -1,0 +1,98 @@
+import ast
+import json
+import os
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import densemble
+from densemble import storage
+from densemble.storage import write_container, write_json
+
+
+class TestWholeWrites:
+    def _fail_commit(self, monkeypatch):
+        def boom(src, dst):
+            raise OSError("interrupted before the rename")
+        monkeypatch.setattr(os, "replace", boom)
+
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.json"
+        write_json(path, {"v": 1})
+        self._fail_commit(monkeypatch)
+        with pytest.raises(OSError, match="before the rename"):
+            write_json(path, {"v": 2})
+        assert json.loads(path.read_text()) == {"v": 1}
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.params"
+        self._fail_commit(monkeypatch)
+        with pytest.raises(OSError, match="before the rename"):
+            write_container(path, {"kind": "x"}, {"w": np.arange(3.0)})
+        assert not path.exists()
+
+    def test_creates_parent_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.csv"
+        storage.write_csv(path, ["x", "y"], [[1, "0.5"], [2, "1.5"]])
+        assert path.read_bytes() == b"x,y\r\n1,0.5\r\n2,1.5\r\n"
+        assert [p.name for p in path.parent.iterdir()] == ["report.csv"]
+
+
+class TestReaders:
+    def test_csv_roundtrip_with_line_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        storage.write_csv(path, ["a", "b"], [["x", 1], ["y", 2]])
+        assert storage.read_csv(path, ["a", "b"]) == [(2, ["x", "1"]), (3, ["y", "2"])]
+
+    def test_csv_row_of_wrong_width_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\nx,1\ny\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 2 columns, got 1")):
+            storage.read_csv(path, ["a", "b"])
+
+    @pytest.mark.parametrize("text,why", [("", "header"), ("b,a\n", "header"),
+                                          ("a,b\n", "no records")])
+    def test_csv_bad_header_or_no_rows_names_file(self, tmp_path, text, why):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + why):
+            storage.read_csv(path, ["a", "b"])
+
+    def test_json_error_names_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": 1,')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: invalid JSON: ")):
+            storage.read_json(path)
+
+
+def _artifact_writes(tree: ast.AST):
+    """(line, what) for every file write or CSV use in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            yield node.lineno, "import csv"
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            yield node.lineno, "from csv import"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+                yield node.lineno, f".{func.attr}()"
+            elif isinstance(func, ast.Name) and func.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                for mode in modes:
+                    if not isinstance(mode, ast.Constant) or set("wax") & set(mode.value):
+                        yield node.lineno, "open() for writing"
+
+
+def test_only_storage_writes_files_and_uses_csv():
+    src = Path(densemble.__file__).parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(src.glob("*.py")) if path.name != "storage.py"
+        for line, what in _artifact_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the check itself sees storage's writes
+    assert {w for _, w in _artifact_writes(ast.parse(Path(storage.__file__).read_text()))} == {
+        "import csv", "open() for writing"}
