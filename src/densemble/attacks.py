@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 INDEX_HEADER = ["record_id", "label", "masked", "linf_delta"]
+MANIFEST_KEYS = ("family", "epsilon", "alpha", "steps", "kernel_bank", "target_model_id")
 
 # (width in samples, std in samples); widths odd, std = width / 4.
 DEFAULT_SAP_KERNELS = ((5, 1.25), (9, 2.25), (13, 3.25), (17, 4.25), (21, 5.25))
@@ -222,6 +223,8 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     if not index.exists():
         raise FileNotFoundError(f"missing artifact: {index}")
     manifest = read_json(in_dir / "attack_manifest.json")
+    if missing := [k for k in MANIFEST_KEYS if k not in manifest]:
+        raise ValueError(f"{in_dir / 'attack_manifest.json'}: missing key {missing[0]!r}")
     ids, labels, mask = [], [], []
     for ln, (rid, label, masked, _delta) in read_csv(index, INDEX_HEADER):
         try:

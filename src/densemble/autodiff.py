@@ -2,12 +2,15 @@
 
 A small dynamic-graph engine: every op returns a :class:`Tensor` that
 remembers its parents and a closure turning its own adjoint into parent
-adjoints.  All values are float64 and are checked finite as the graph is
-built, so a diverging computation fails loudly instead of silently
-producing NaN parameters.
-
-Dense kernels (matmul, convolution windows, SVD, FFT) are delegated to
-numpy; this module owns the graph bookkeeping and the exact adjoints.
+adjoints.  All values are float64.  Finiteness is checked at the edges
+(leaves here, logits and features in ``model.forward``, gradients in
+``adam_step`` and the attack step), so a diverging computation fails
+loudly instead of silently producing NaN parameters.  ``.grad`` may alias
+another node's adjoint (``add`` hands one array to both parents, ``mean``
+a read-only view), so no adjoint is ever written in place.  Dense kernels
+(matmul, SVD, FFT) are numpy's.  Convolution runs as im2col GEMMs whose
+operand order and output layout fix the summation order, so its bytes do
+not depend on numpy's einsum path choice.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None] | None = None,
     ):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not parents and not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite values entering the graph")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -79,9 +82,7 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the whole graph."""
@@ -254,17 +255,22 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
     win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]  # (n,c,Lout,k)
-    out = np.einsum("nclk,ock->nol", win, w.data, optimize=True)
-    l_out = out.shape[2]
+    l_out, lp = win.shape[2], xp.shape[2]
+    cols = win.transpose(1, 3, 0, 2).reshape(c * k, n * l_out)  # im2col, (c*k, n*Lout)
+    out = (w.data.reshape(c_out, c * k) @ cols).reshape(c_out, n, l_out).transpose(1, 0, 2)
+    if not w.requires_grad:
+        cols = None  # only the weight adjoint reads it; the graph need not hold it
 
     def bw(g: np.ndarray) -> None:
         if w.requires_grad:
-            w._accumulate(np.einsum("nol,nclk->ock", g, win, optimize=True))
+            gw = cols @ g.transpose(0, 2, 1).reshape(n * l_out, c_out)
+            w._accumulate(gw.reshape(c, k, c_out).transpose(2, 0, 1))
         if x.requires_grad:
-            t = np.einsum("nol,ock->nclk", g, w.data, optimize=True)
-            gxp = np.zeros_like(xp)
+            wt = w.data.transpose(1, 2, 0).reshape(c * k, c_out)
+            t = (wt @ g.transpose(1, 0, 2).reshape(c_out, n * l_out)).reshape(c, k, n, l_out)
+            gxp = np.zeros((n, c, lp))
             for i in range(k):
-                gxp[:, :, i : i + stride * l_out : stride] += t[:, :, :, i]
+                gxp[:, :, i : i + stride * l_out : stride] += t[:, i].transpose(1, 0, 2)
             x._accumulate(gxp[:, :, pad : pad + length] if pad else gxp)
 
     return Tensor(out, parents=(x, w), backward_fn=bw)

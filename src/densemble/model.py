@@ -124,6 +124,8 @@ def forward(
     pooled = ad.mean(h, axis=2)
     features = ad.relu(ad.add(ad.matmul(pooled, pt["feat.w"]), pt["feat.b"]))
     logits = ad.add(ad.matmul(features, pt["head.w"]), pt["head.b"])
+    if not (np.isfinite(logits.data).all() and np.isfinite(features.data).all()):
+        raise FloatingPointError("non-finite logits or features (the network overflowed)")
     return logits, features
 
 

@@ -210,7 +210,7 @@ def read_signal(path: str | Path) -> np.ndarray:
 
 def write_signal(path: str | Path, values: np.ndarray) -> None:
     """One repr() float per line, so :func:`read_signal` gets every bit back."""
-    write_bytes(path, ("\n".join(repr(float(v)) for v in values) + "\n").encode("utf-8"))
+    write_bytes(path, ("\n".join(map(repr, values.tolist())) + "\n").encode("utf-8"))
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:

@@ -70,3 +70,21 @@ def adam_reference_step(p, g, m, v, t, lr, b1, b2, eps):
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def conv1d_direct(x: np.ndarray, w: np.ndarray, stride: int, pad: int, g: np.ndarray):
+    """Cross-correlation of x (N,C,L) with w (C',C,k) and its adjoints for the
+    upstream g (N,C',Lout), one output position and kernel tap at a time;
+    returns (out, grad_x, grad_w)."""
+    length, k = x.shape[2], w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    l_out = (length + 2 * pad - k) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], l_out))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for pos in range(l_out):
+        for tap in range(k):
+            col = xp[:, :, pos * stride + tap]  # (N, C)
+            out[:, :, pos] += col @ w[:, :, tap].T
+            gw[:, :, tap] += g[:, :, pos].T @ col
+            gxp[:, :, pos * stride + tap] += g[:, :, pos] @ w[:, :, tap]
+    return out, gxp[:, :, pad : pad + length], gw

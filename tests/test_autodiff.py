@@ -3,7 +3,13 @@ import pytest
 
 from densemble import autodiff as ad
 
-from oracles import central_diff_grad, normal_equations_residual, rel_err, softmax_ce_direct
+from oracles import (
+    central_diff_grad,
+    conv1d_direct,
+    normal_equations_residual,
+    rel_err,
+    softmax_ce_direct,
+)
 
 
 class TestMatmul:
@@ -73,6 +79,35 @@ class TestConv1d:
         assert rel_err(x.grad, central_diff_grad(loss_x, x0)) < 1e-6
         assert rel_err(w.grad, central_diff_grad(loss_w, w0)) < 1e-6
 
+    # (N, C, L, C', k, stride, pad): the default model's three blocks, SAP's
+    # smoothing kernels and a batch of one
+    SHAPES = [
+        (3, 1, 512, 8, 7, 2, 3),
+        (3, 8, 256, 16, 7, 2, 3),
+        (3, 16, 128, 32, 5, 2, 2),
+        *[(3, 1, 512, 1, k, 1, (k - 1) // 2) for k in (5, 9, 13, 17, 21)],
+        (1, 8, 256, 16, 7, 2, 3),
+        (1, 1, 512, 1, 9, 1, 4),
+    ]
+
+    @pytest.mark.parametrize("n,c,length,c_out,k,stride,pad", SHAPES)
+    @pytest.mark.parametrize("w_grad", [True, False])
+    def test_matches_direct_loops(self, n, c, length, c_out, k, stride, pad, w_grad):
+        rng = np.random.default_rng(k * 100 + c)
+        x0 = rng.normal(size=(n, c, length))
+        w0 = rng.normal(size=(c_out, c, k))
+        x = ad.Tensor(x0, requires_grad=True)
+        w = ad.Tensor(w0, requires_grad=w_grad)
+        out = ad.conv1d(x, w, stride=stride, pad=pad)
+        ad.l2norm_sq(out).backward()  # upstream adjoint 2 * out
+        ref, ref_gx, ref_gw = conv1d_direct(x0, w0, stride, pad, 2.0 * out.data)
+        assert rel_err(out.data, ref) < 1e-12
+        assert rel_err(x.grad, ref_gx) < 1e-12
+        if w_grad:
+            assert rel_err(w.grad, ref_gw) < 1e-12
+        else:
+            assert w.grad is None
+
     def test_kernel_too_long(self):
         with pytest.raises(ValueError):
             ad.conv1d(ad.Tensor(np.zeros((1, 1, 4))), ad.Tensor(np.zeros((1, 1, 7))), pad=1)
@@ -138,6 +173,16 @@ class TestScalarOps:
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
             ad.Tensor([np.inf, 1.0])
+
+    def test_shared_adjoint_is_never_written_in_place(self):
+        # add() hands one adjoint array to both parents; a second adjoint
+        # into `a` must not change what `b` received
+        a = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        b = ad.Tensor([10.0, 20.0, 30.0], requires_grad=True)
+        v = ad.add(ad.add(a, b), a)  # 2a + b
+        ad.l2norm_sq(v).backward()
+        assert np.array_equal(b.grad, 2.0 * v.data)
+        assert np.array_equal(a.grad, 4.0 * v.data)
 
     def test_diamond_graph_visits_each_node_once(self):
         # both edges of add() feed the same parent: adjoints accumulate,

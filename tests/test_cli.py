@@ -377,3 +377,14 @@ def test_evaluate_truncated_attack_manifest_names_file(attacked, capsys):
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert f"{manifest}: invalid JSON" in capsys.readouterr().err
+
+
+def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsys):
+    tmp_path, cfg = attacked
+    manifest = tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json"
+    fields = json.loads(manifest.read_text())
+    del fields["steps"]
+    manifest.write_text(json.dumps(fields))
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{manifest}: missing key 'steps'" in capsys.readouterr().err

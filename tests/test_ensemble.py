@@ -86,7 +86,7 @@ class TestAdam:
     def test_nonfinite_gradient_rejected(self):
         params = {"w": np.zeros(2)}
         state = AdamState.init(params)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="non-finite gradient for parameter w"):
             adam_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
 
 

@@ -78,6 +78,16 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros((1, 33)))
 
+    def test_overflow_inside_the_network_raises(self):
+        # finite parameters whose products overflow: forward checks its
+        # outputs, since interior nodes are not checked as they are built
+        params = init_params(TINY, 11)
+        for v in params.tensors.values():
+            v[...] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                forward(params, np.ones((2, 32)))
+
     def test_input_gradient_vs_finite_differences(self):
         params = init_params(TINY, 13)
         rng = np.random.default_rng(14)
