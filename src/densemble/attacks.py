@@ -45,11 +45,14 @@ DEFAULT_SAP_KERNELS = ((5, 1.25), (9, 2.25), (13, 3.25), (17, 4.25), (21, 5.25))
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """One attack grid cell; built by :mod:`densemble.config` or :meth:`make`,
+    no defaults."""
+
     family: str
     eps: float
     alpha: float
-    steps: int = 20
-    kernel_bank: tuple[tuple[int, float], ...] = ()
+    steps: int
+    kernel_bank: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         if self.family not in ("pgd", "sap"):
@@ -66,11 +69,11 @@ class AttackSpec:
     @staticmethod
     def make(family: str, eps: float, steps: int = 20, alpha: float | None = None,
              kernel_bank=DEFAULT_SAP_KERNELS) -> "AttackSpec":
-        """Default step size is eps / 10."""
+        """Default step size is eps * 0.1, as ``attack.alpha_scale``."""
         return AttackSpec(
             family=family,
             eps=float(eps),
-            alpha=float(eps) / 10.0 if alpha is None else float(alpha),
+            alpha=float(eps) * 0.1 if alpha is None else float(alpha),
             steps=steps,
             kernel_bank=tuple(tuple(k) for k in kernel_bank) if family == "sap" else (),
         )
@@ -164,8 +167,8 @@ class AttackedSet:
     natural: np.ndarray = field(repr=False)
     perturbed: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)  # base model correct on naturals
-    spec: AttackSpec = AttackSpec.make("pgd", 0.0)
-    target_model_id: str = ""
+    spec: AttackSpec
+    target_model_id: str
 
     def linf_deltas(self) -> np.ndarray:
         return np.max(np.abs(self.perturbed - self.natural), axis=1)
@@ -241,13 +244,11 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
             raise ValueError(f"{path}: {len(row)} values, but the other signals have {common}")
     natural, perturbed = np.stack(rows[: len(ids)]), np.stack(rows[len(ids):])
 
-    spec = AttackSpec.make(
-        manifest["family"],
-        manifest["epsilon"],
-        steps=manifest["steps"],
-        alpha=manifest["alpha"],
-        kernel_bank=[tuple(k) for k in manifest["kernel_bank"]] or DEFAULT_SAP_KERNELS,
-    )
+    try:
+        spec = AttackSpec.make(manifest["family"], manifest["epsilon"], steps=manifest["steps"],
+                               alpha=manifest["alpha"], kernel_bank=manifest["kernel_bank"])
+    except (TypeError, ValueError) as exc:  # a recorded value the spec refuses
+        raise ValueError(f"{in_dir / 'attack_manifest.json'}: {exc}") from None
     return AttackedSet(
         ids=ids,
         labels=np.array(labels, dtype=np.int64),

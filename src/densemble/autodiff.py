@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
-    "constant",
     "add",
     "sub",
     "scale",
@@ -110,12 +109,8 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
-def constant(value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=np.float64))
-
-
 def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else constant(value)
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -303,14 +298,16 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor(loss, parents=(logits,), backward_fn=bw)
 
 
-def least_squares_residual(
-    zr: Tensor, zt: Tensor, rcond: float = 1e-10
-) -> tuple[Tensor, Tensor]:
+# Relative cut-off of the least-squares pseudo-inverse's singular values.
+LSTSQ_RCOND = 1e-10
+
+
+def least_squares_residual(zr: Tensor, zt: Tensor) -> tuple[Tensor, Tensor]:
     """Residual and total sum of squares of regressing zt on [zr, 1].
 
     An intercept column is appended to the regressor internally; the fit
     uses an SVD pseudo-inverse with singular values below
-    ``rcond * s_max`` dropped, so near-collinear feature batches stay
+    ``LSTSQ_RCOND * s_max`` dropped, so near-collinear feature batches stay
     well behaved.  Both outputs are differentiable with respect to both
     arguments (the adjoint uses the orthogonal-projector differential,
     exact at locally constant rank).
@@ -325,7 +322,7 @@ def least_squares_residual(
 
     zb = np.concatenate([zr.data, np.ones((n, 1))], axis=1)
     u, s, vt = np.linalg.svd(zb, full_matrices=False)
-    keep = s > s[0] * rcond
+    keep = s > s[0] * LSTSQ_RCOND
     ut_zt = u.T @ zt.data
     coef = vt[keep].T @ (ut_zt[keep] / s[keep, None])  # (p+1, q)
     resid = zt.data - zb @ coef

@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attacks import craft_set, load_attacked_set, save_attacked_set
 from .config import (
     ConfigError,
@@ -193,10 +195,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids()) for kind in kinds}
 
     # (attack, epsilon, inputs, labels, mask); the natural test set first
-    cells = [("none", 0.0, test.signals_matrix(), test.labels_array(), None)]
+    test_x = test.signals_matrix()
+    cells = [("none", 0.0, test_x, test.labels_array(), None)]
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
-        if aset.spec != spec or aset.ids != test.ids():
+        if (aset.spec != spec or aset.ids != test.ids()
+                or not np.array_equal(aset.natural, test_x)):
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with "
                                "another attack grid or test split; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))

@@ -48,6 +48,9 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content; exit code 2 at the CLI."""
 
 
+# The one source of every default.  The typed configs have none, except
+# the mirrors the benchmark pins (ArchConfig, AdamConfig, AttackSpec.make),
+# which tests/test_config.py keeps equal to these values.
 DEFAULT_CONFIG: dict = {
     "data": {
         "source": "synthetic",
@@ -232,7 +235,7 @@ def attack_cells(cfg: dict) -> list[tuple[str, AttackSpec]]:
     return [
         (f"{fam}_eps{i:02d}",
          AttackSpec.make(fam, eps, steps=a["steps"], alpha=eps * a["alpha_scale"],
-                         kernel_bank=[tuple(k) for k in a["sap_kernels"]]))
+                         kernel_bank=a["sap_kernels"]))
         for fam in a["families"] for i, eps in enumerate(a["epsilons"])
     ]
 

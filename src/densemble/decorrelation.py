@@ -38,12 +38,18 @@ __all__ = [
 ]
 
 
+# Rows per forward pass when a trained arm's feature cache is built.
+CACHE_BATCH = 256
+
+
 @dataclass(frozen=True)
 class DecorConfig:
-    projection_dim: int = 50
-    weight: float = 0.2
-    stab_eps: float = 1e-5
-    seed: int = field(kw_only=True)
+    """Decorrelation penalty; built by :mod:`densemble.config`, no defaults."""
+
+    projection_dim: int
+    weight: float
+    stab_eps: float
+    seed: int
 
     def __post_init__(self):
         if self.projection_dim < 1:
@@ -80,15 +86,7 @@ def draw_projection(d: int, r: int, seed) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d), (d, r))
 
 
-def pair_loss(
-    zk: Tensor,
-    zi: np.ndarray,
-    cfg: DecorConfig,
-    step_seed,
-    *,
-    force_project_frozen: bool | None = None,
-    projection_override: np.ndarray | None = None,
-) -> Tensor:
+def pair_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, step_seed) -> Tensor:
     """Randomized decorrelation loss between the training model's batch
     features `zk` and a frozen feature batch `zi`.
 
@@ -96,7 +94,6 @@ def pair_loss(
     `zi` is projected and regressed on `zk`, or `zk` is projected and
     regressed on frozen `zi`.  The projected side is always the
     regression target; projection is right-multiplication (N,D)@(D,r).
-    The keyword-only overrides pin the branch / projection for tests.
     """
     if zk.ndim != 2 or zi.ndim != 2 or zk.shape[0] != zi.shape[0]:
         raise ValueError("pair_loss needs two feature batches with equal row counts")
@@ -106,21 +103,10 @@ def pair_loss(
             f"batch of {n} rows is too small for projection dim {cfg.projection_dim}"
         )
     rng = np.random.default_rng(step_seed)
-    project_frozen = rng.random() < 0.5
-    if force_project_frozen is not None:
-        project_frozen = force_project_frozen
-    if project_frozen:
-        proj = (
-            projection_override
-            if projection_override is not None
-            else draw_projection(zi.shape[1], cfg.projection_dim, rng)
-        )
+    if rng.random() < 0.5:  # project the frozen side
+        proj = draw_projection(zi.shape[1], cfg.projection_dim, rng)
         return decor_loss(zk, Tensor(zi @ proj), cfg.stab_eps)
-    proj = (
-        projection_override
-        if projection_override is not None
-        else draw_projection(zk.shape[1], cfg.projection_dim, rng)
-    )
+    proj = draw_projection(zk.shape[1], cfg.projection_dim, rng)
     return decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps)
 
 
@@ -192,13 +178,12 @@ def build_cache(
     signals: np.ndarray,
     sample_ids: Sequence[str],
     model_id: str,
-    batch_size: int = 256,
 ) -> FeatureCache:
     """One forward pass over the training set (canonical order) collecting
     the feature layer."""
     chunks = []
-    for start in range(0, signals.shape[0], batch_size):
-        _, feats = forward(params, signals[start : start + batch_size])
+    for start in range(0, signals.shape[0], CACHE_BATCH):
+        _, feats = forward(params, signals[start : start + CACHE_BATCH])
         chunks.append(feats.data)
     return FeatureCache(
         model_id=model_id,

@@ -122,12 +122,14 @@ def adam_step(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 60
-    batch_size: int = 80
-    learning_rate: float = 1e-3
-    adam: AdamConfig = AdamConfig()
-    init_seed: int = field(kw_only=True)
-    shuffle_seed: int = field(kw_only=True)
+    """Training schedule and seeds; built by :mod:`densemble.config`, no defaults."""
+
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    adam: AdamConfig
+    init_seed: int
+    shuffle_seed: int
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 2)):
@@ -160,12 +162,8 @@ class ArmResult:
     curve: list[dict] = field(repr=False)
 
 
-def _arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank | None) -> np.ndarray:
-    if role.band is None:
-        return x
-    if bank is None:
-        raise ValueError("filtered arm requires a filter bank")
-    return apply_band(bank, role.band, x)
+def _arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank) -> np.ndarray:
+    return x if role.band is None else apply_band(bank, role.band, x)
 
 
 def _check_decor_batches(n: int, arch: ArchConfig, cfg: TrainConfig, decor: DecorConfig) -> None:
@@ -187,7 +185,7 @@ def train_arm(
     cfg: TrainConfig,
     decor_cfg: DecorConfig,
     caches: Sequence[FeatureCache],
-    bank: RingFilterBank | None = None,
+    bank: RingFilterBank,
 ) -> ArmResult:
     """Train one arm on its own (possibly band-filtered) view of the data.
 
@@ -242,7 +240,7 @@ def train_ensemble(
     arch: ArchConfig,
     cfg: TrainConfig,
     decor_cfg: DecorConfig,
-    bank: RingFilterBank | None = None,
+    bank: RingFilterBank,
 ) -> list[ArmResult]:
     """Train the three arms strictly sequentially; each decorrelating arm
     sees the caches of every arm trained before it."""
@@ -283,7 +281,7 @@ def evaluate_arms(
     x: np.ndarray,
     y: np.ndarray,
     mask: np.ndarray | None,
-    bank: RingFilterBank | None = None,
+    bank: RingFilterBank,
 ) -> dict[str, float]:
     """Per-sample correctness over all arms (each on its own filtered
     view), reduced to average and P(>=x) metrics.  `mask` restricts the

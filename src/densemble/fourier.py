@@ -26,11 +26,7 @@ class RingFilterBank:
     responses: tuple[np.ndarray, ...] = field(repr=False)
 
 
-def design_bank(
-    length: int,
-    cutoff: float,
-    transition_width: float = 0.0,
-) -> RingFilterBank:
+def design_bank(length: int, cutoff: float, transition_width: float) -> RingFilterBank:
     """Build a two-band partition-of-unity filter bank.
 
     The low band is 1 below ``cutoff - tw/2``, 0 above ``cutoff + tw/2``

@@ -135,7 +135,7 @@ def predict(params: ClassifierParams, x) -> np.ndarray:
     return np.argmax(logits.data, axis=1)
 
 
-def save_params(params: ClassifierParams, path, model_id: str = "") -> None:
+def save_params(params: ClassifierParams, path, model_id: str) -> None:
     write_container(
         path,
         {"kind": "classifier-params", "model_id": model_id, "arch": params.arch.to_dict()},

@@ -70,12 +70,19 @@ class Dataset:
         return np.stack([r.signal for r in self.records])
 
 
+# Longest record, in samples.  The filter bank and every batch grow with
+# the length, so a longer one is refused at load, not mid-run by numpy.
+MAX_LENGTH = 2**20
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    num_classes: int = 3
-    records_per_class: int = 50
-    length: int = 512
-    sample_rate_hz: float = 128.0
+    """Dataset shape; built by :mod:`densemble.config`, no defaults."""
+
+    num_classes: int
+    records_per_class: int
+    length: int
+    sample_rate_hz: float
 
     def __post_init__(self):
         if self.num_classes not in (2, 3, 4):
@@ -83,6 +90,8 @@ class SynthConfig:
         for name, low in (("records_per_class", 2), ("length", 16)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"length: must be <= {MAX_LENGTH}, got {self.length!r}")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz: must be > 0, got {self.sample_rate_hz!r}")
 
@@ -267,7 +276,7 @@ def preprocess(
     )
 
 
-def split(ds: Dataset, train_fraction: float = 0.9, seed: int = 0) -> tuple[Dataset, Dataset]:
+def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Label-stratified disjoint split, deterministic given the seed.
 
     Record order inside each split follows the original dataset order,

@@ -14,29 +14,39 @@ from densemble.attacks import (
     save_attacked_set,
 )
 from densemble.autodiff import next_pow2
-from densemble.ensemble import ArmRole, TrainConfig, train_arm
-from densemble.decorrelation import DecorConfig
+from densemble.config import (
+    arch_from_config,
+    bank_from_config,
+    decor_from_config,
+    resolve_config,
+    synth_from_config,
+    train_from_config,
+)
+from densemble.ensemble import ArmRole, train_arm
 from densemble.fourier import band_energy, design_bank
-from densemble.model import ArchConfig, predict
-from densemble.signals import SynthConfig, preprocess, split, synthesize
+from densemble.model import predict
+from densemble.signals import preprocess, split, synthesize
 
-ARCH = ArchConfig(conv_blocks=((6, 7, 2), (12, 5, 2)), feature_dim=16, num_classes=3,
-                  input_length=128)
+CFG = resolve_config({
+    "data": {"records_per_class": 30, "length": 128},
+    "arch": {"conv_blocks": [[6, 7, 2], [12, 5, 2]], "feature_dim": 16},
+    "train": {"epochs": 40, "batch_size": 27, "seeds": {"init": 1, "shuffle": 2}},
+    "decor": {"projection_dim": 8, "seed": 0},
+})
 
 
 @pytest.fixture(scope="module")
 def toy():
     """Small trained model plus its test split; enough accuracy to attack."""
-    ds = synthesize(SynthConfig(num_classes=3, records_per_class=30, length=128), 77)
+    ds = synthesize(synth_from_config(CFG), 77)
     train_raw, test_raw = split(ds, 0.9, 78)
     train = preprocess(train_raw, 128)
     test = preprocess(test_raw, 128, stats=train.normalization)
-    cfg = TrainConfig(epochs=40, batch_size=27, learning_rate=1e-3,
-                      init_seed=1, shuffle_seed=2)
     res = train_arm(
         0, ArmRole(band=None, decorrelate=False),
         train.signals_matrix(), train.labels_array(), train.ids(),
-        ARCH, cfg, DecorConfig(projection_dim=8, seed=0), [],
+        arch_from_config(CFG), train_from_config(CFG), decor_from_config(CFG), [],
+        bank_from_config(CFG),
     )
     return res.params, test.signals_matrix(), test.labels_array(), test.ids()
 
@@ -134,7 +144,7 @@ class TestSap:
 
     def test_requires_kernels(self):
         with pytest.raises(ValueError):
-            AttackSpec(family="sap", eps=0.1, alpha=0.01, kernel_bank=())
+            AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20, kernel_bank=())
 
 
 class TestCraftSet:
@@ -211,5 +221,5 @@ class TestAttackSpec:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            AttackSpec(family="sap", eps=0.1, alpha=0.01,
+            AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20,
                        kernel_bank=((4, 1.0),))

@@ -128,6 +128,9 @@ BAD_VALUES = [
     ("attack.epsilons", {"attack": {"epsilons": [0.1, float("nan")]}}),
     # the kernels are checked even when sap is not run
     ("attack.sap_kernels", {"attack": {"families": ["pgd"], "sap_kernels": [[4, 1.0]]}}),
+    # data.length has an upper bound, so a huge length fails here, not allocating
+    ("data.length", {"data": {"length": 2**40}}),
+    ("data.length", {"data": {"length": 10**400}}),
 ]
 
 
@@ -388,3 +391,31 @@ def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsy
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert f"{manifest}: missing key 'steps'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bank", [[], [5]])
+def test_evaluate_refuses_sap_cell_with_bad_kernels(attacked, capsys, bank):
+    # an empty bank was once scored with the default kernels
+    tmp_path, cfg = attacked
+    manifest = tmp_path / "atk" / "sap_eps02" / "attack_manifest.json"
+    fields = json.loads(manifest.read_text())
+    fields["kernel_bank"] = bank
+    manifest.write_text(json.dumps(fields))
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{manifest}: " in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_evaluate_refuses_attacked_sets_of_regenerated_data(attacked, capsys):
+    # same record ids and split, other signals: natural/ no longer matches
+    tmp_path, cfg = attacked
+    other = json.loads((tmp_path / "config.json").read_text())
+    other["data"]["seeds"]["synth"] = 99
+    (tmp_path / "other_config.json").write_text(json.dumps(other))
+    assert run_cli("generate-data", "--config", str(tmp_path / "other_config.json"),
+                   "--out", "data") == 0
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert str(tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()

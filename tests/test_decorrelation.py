@@ -3,7 +3,9 @@ import pytest
 
 from densemble import autodiff as ad
 from densemble.autodiff import Tensor
+from densemble.config import decor_from_config, resolve_config
 from densemble.decorrelation import (
+    CACHE_BATCH,
     DecorConfig,
     FeatureCache,
     build_cache,
@@ -20,7 +22,24 @@ from densemble.model import ArchConfig, forward, init_params
 
 from oracles import central_diff_grad, normal_equations_residual, rel_err
 
-CFG = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=9)
+
+def decor_cfg(**decor) -> DecorConfig:
+    """The default decorrelation settings with `decor` merged over them."""
+    return decor_from_config(resolve_config({"decor": decor}))
+
+
+CFG = decor_cfg(projection_dim=5, seed=9)
+
+# Step seeds whose coin (the first draw of pair_loss) projects the frozen
+# side, and the current side.
+FROZEN_SEED, LIVE_SEED = 3, 0
+
+
+def replayed_projection(seed, d: int, r: int) -> np.ndarray:
+    """The projection pair_loss draws from `seed`: the coin, then (d, r)."""
+    rng = np.random.default_rng(seed)
+    rng.random()
+    return draw_projection(d, r, rng)
 
 
 class TestCorrelationR2:
@@ -116,39 +135,37 @@ class TestDrawProjection:
 
 
 class TestPairLoss:
+    def test_seeds_land_each_way(self):
+        assert np.random.default_rng(FROZEN_SEED).random() < 0.5
+        assert np.random.default_rng(LIVE_SEED).random() >= 0.5
+
     def test_frozen_twin_matches_self_regression(self):
+        # both branches compute the self-regression value of their draw
         rng = np.random.default_rng(47)
         z = rng.normal(size=(20, 8))
         zk = Tensor(z.copy(), requires_grad=True)
-        vals = []
-        for branch in (True, False):
-            loss = pair_loss(zk, z.copy(), CFG, 3, force_project_frozen=branch)
-            vals.append(loss.item())
-        # both branches compute the same self-regression value
-        assert abs(vals[0] - vals[1]) < 1e-6
-        rng2 = np.random.default_rng(3)
-        rng2.random()
-        proj = draw_projection(8, 5, rng2)
-        direct = decor_loss(Tensor(z), Tensor(z @ proj), CFG.stab_eps)
-        assert abs(vals[0] - direct.item()) < 1e-9
+        for seed in (FROZEN_SEED, LIVE_SEED):
+            loss = pair_loss(zk, z.copy(), CFG, seed)
+            proj = replayed_projection(seed, 8, 5)
+            direct = decor_loss(Tensor(z), Tensor(z @ proj), CFG.stab_eps)
+            assert abs(loss.item() - direct.item()) < 1e-9
 
-    def test_identity_projection_reduces_to_decor_loss(self):
+    def test_each_branch_is_decor_loss_on_the_replayed_draw(self):
         rng = np.random.default_rng(48)
         zk0 = rng.normal(size=(20, 6))
         zi = rng.normal(size=(20, 6))
-        cfg = DecorConfig(projection_dim=6, weight=0.2, stab_eps=1e-5, seed=0)
-        loss = pair_loss(
-            Tensor(zk0), zi, cfg, 5,
-            force_project_frozen=True, projection_override=np.eye(6),
-        )
-        direct = decor_loss(Tensor(zk0), Tensor(zi), 1e-5)
-        assert loss.item() == direct.item()
+        frozen = pair_loss(Tensor(zk0), zi, CFG, FROZEN_SEED)
+        proj = replayed_projection(FROZEN_SEED, 6, 5)
+        assert frozen.item() == decor_loss(Tensor(zk0), Tensor(zi @ proj), 1e-5).item()
+        live = pair_loss(Tensor(zk0), zi, CFG, LIVE_SEED)
+        proj = replayed_projection(LIVE_SEED, 6, 5)
+        assert live.item() == decor_loss(Tensor(zi), Tensor(zk0 @ proj), 1e-5).item()
 
     def test_branch_frequency(self):
         # zi = 0 makes the project-frozen branch exactly 0 (both sums of
         # squares vanish), so the branch taken is observable from the value
         rng = np.random.default_rng(64)
-        cfg = DecorConfig(projection_dim=2, weight=0.2, stab_eps=1e-5, seed=0)
+        cfg = decor_cfg(projection_dim=2, seed=0)
         zk = Tensor(rng.normal(size=(8, 3)) + 1.0)
         zi = np.zeros((8, 3))
         frozen_branch = [
@@ -158,23 +175,22 @@ class TestPairLoss:
         assert abs(np.mean(frozen_branch) - 0.5) < 0.02
 
     def test_both_branches_symmetric_under_swap(self):
+        # the frozen branch on (a, b) and the live branch on (b, a) both
+        # regress a projected b on a
         rng = np.random.default_rng(49)
         a = rng.normal(size=(20, 6))
         b = rng.normal(size=(20, 6))
-        proj = draw_projection(6, 5, 7)
-        l1 = pair_loss(Tensor(a), b, CFG, 0, force_project_frozen=True,
-                       projection_override=proj)
-        l2 = pair_loss(Tensor(b), a, CFG, 0, force_project_frozen=False,
-                       projection_override=proj)
-        assert abs(l1.item() - l2.item()) < 1e-12
+        for seed, zk, zi in ((FROZEN_SEED, a, b), (LIVE_SEED, b, a)):
+            direct = decor_loss(Tensor(a), Tensor(b @ replayed_projection(seed, 6, 5)), 1e-5)
+            assert abs(pair_loss(Tensor(zk), zi, CFG, seed).item() - direct.item()) < 1e-12
 
     def test_gradient_reaches_current_not_frozen(self):
         rng = np.random.default_rng(50)
         zk = Tensor(rng.normal(size=(20, 6)), requires_grad=True)
         frozen = rng.normal(size=(20, 6))
-        for branch in (True, False):
+        for seed in (FROZEN_SEED, LIVE_SEED):
             zk.grad = None
-            pair_loss(zk, frozen, CFG, 1, force_project_frozen=branch).backward()
+            pair_loss(zk, frozen, CFG, seed).backward()
             assert zk.grad is not None
             assert np.any(zk.grad != 0)
 
@@ -241,7 +257,7 @@ class TestTotalLoss:
         logits0 = rng.normal(size=(10, 3))
         labels = rng.integers(0, 3, size=10)
         zk = Tensor(rng.normal(size=(10, 6)))
-        cfg0 = DecorConfig(projection_dim=5, weight=0.0, stab_eps=1e-5, seed=0)
+        cfg0 = decor_cfg(projection_dim=5, weight=0.0, seed=0)
         cache = _cache_from(rng.normal(size=(10, 6)))
         total, part_ce, cor = total_loss(
             Tensor(logits0), labels, zk, [cache], np.arange(10), cfg0, 0
@@ -256,7 +272,7 @@ class TestTotalLoss:
         labels = rng.integers(0, 3, size=12)
         zk = Tensor(rng.normal(size=(12, 6)))
         cache = _cache_from(rng.normal(size=(12, 6)))
-        cfg = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=0)
+        cfg = decor_cfg(projection_dim=5, seed=0)
         idx = np.arange(12)
         total, ce, cor = total_loss(Tensor(logits0), labels, zk, [cache], idx, cfg, 3)
         assert ce.item() == ad.softmax_cross_entropy(Tensor(logits0), labels).item()
@@ -269,7 +285,7 @@ class TestTotalLoss:
         labels = rng.integers(0, 3, size=12)
         zk0 = rng.normal(size=(12, 6))
         cache = _cache_from(rng.normal(size=(12, 6)))
-        cfg = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=0)
+        cfg = decor_cfg(projection_dim=5, seed=0)
         idx = np.arange(12)
 
         logits = Tensor(logits0, requires_grad=True)
@@ -291,10 +307,12 @@ class TestFeatureCache:
                       input_length=16)
 
     def test_rows_match_forward(self):
+        # more rows than one forward pass of build_cache takes
+        n = 2 * CACHE_BATCH + 44
         params = init_params(self.ARCH, 31)
-        x = np.random.default_rng(57).normal(size=(12, 16))
-        ids = [f"s{i}" for i in range(12)]
-        cache = build_cache(params, x, ids, "arm0", batch_size=5)
+        x = np.random.default_rng(57).normal(size=(n, 16))
+        ids = [f"s{i}" for i in range(n)]
+        cache = build_cache(params, x, ids, "arm0")
         _, feats = forward(params, x)
         assert np.allclose(cache.features, feats.data, atol=1e-12)
         assert cache.sample_ids == tuple(ids)
@@ -315,7 +333,7 @@ class TestFeatureCache:
         cache = build_cache(params, x, ids, "arm0")
         live = forward(params, x)[1].data
         zk = Tensor(rng.normal(size=(14, 8)))
-        cfg = DecorConfig(projection_dim=4, weight=0.2, stab_eps=1e-5, seed=0)
+        cfg = decor_cfg(projection_dim=4, seed=0)
         from_cache = pair_loss(zk, cache.rows(np.arange(14)), cfg, 6)
         from_live = pair_loss(zk, live, cfg, 6)
         assert from_cache.item() == from_live.item()

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from densemble import ensemble
-from densemble.autodiff import next_pow2
-from densemble.decorrelation import DecorConfig
+from densemble.config import (
+    bank_from_config,
+    decor_from_config,
+    resolve_config,
+    synth_from_config,
+    train_from_config,
+)
 from densemble.ensemble import (
     AdamConfig,
     AdamState,
     ArmRole,
-    TrainConfig,
     adam_step,
     arm_roles,
     batch_schedule,
@@ -20,28 +24,35 @@ from densemble.ensemble import (
     train_arm,
     train_ensemble,
 )
-from densemble.fourier import design_bank
 from densemble.model import ArchConfig, save_params
-from densemble.signals import SynthConfig, preprocess, split, synthesize
+from densemble.signals import preprocess, split, synthesize
 
 from oracles import adam_reference_step, ensemble_metrics_bruteforce
 
 ARCH = ArchConfig(conv_blocks=((4, 5, 2), (8, 3, 2)), feature_dim=12, num_classes=3,
                   input_length=64)
+SMALL = {
+    "data": {"records_per_class": 12, "length": 64},
+    "train": {"epochs": 4, "batch_size": 16, "seeds": {"init": 5, "shuffle": 6}},
+    "decor": {"projection_dim": 8, "seed": 7},
+}
+CFG = resolve_config(SMALL)
+SMALL_TRAIN, SMALL_DECOR = train_from_config(CFG), decor_from_config(CFG)
+BANK = bank_from_config(CFG)
+
+
+def small_cfg(section: str, **over) -> dict:
+    """The small config with `over` merged into one of its sections."""
+    return resolve_config({**SMALL, section: {**SMALL.get(section, {}), **over}})
 
 
 @pytest.fixture(scope="module")
 def small_data():
-    ds = synthesize(SynthConfig(num_classes=3, records_per_class=12, length=64), 88)
+    ds = synthesize(synth_from_config(CFG), 88)
     train_raw, test_raw = split(ds, 0.9, 89)
     train = preprocess(train_raw, 64)
     test = preprocess(test_raw, 64, stats=train.normalization)
     return train, test
-
-
-SMALL_TRAIN = TrainConfig(epochs=4, batch_size=16, learning_rate=1e-3,
-                          init_seed=5, shuffle_seed=6)
-SMALL_DECOR = DecorConfig(projection_dim=8, weight=0.2, stab_eps=1e-5, seed=7)
 
 
 class TestAdam:
@@ -167,18 +178,18 @@ class TestTraining:
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
         a = train_arm(1, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
-                      SMALL_DECOR, [])
+                      SMALL_DECOR, [], BANK)
         b = train_arm(1, ArmRole(None, True), x, y, ids, ARCH, SMALL_TRAIN,
-                      SMALL_DECOR, [])  # decorrelate=True but no caches
+                      SMALL_DECOR, [], BANK)  # decorrelate=True but no caches
         for name in a.params.tensors:
             assert np.array_equal(a.params.tensors[name], b.params.tensors[name])
 
     def test_dec_weight_zero_reproduces_cor(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        lam0 = DecorConfig(projection_dim=8, weight=0.0, stab_eps=1e-5, seed=7)
-        cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0)
-        dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0)
+        lam0 = decor_from_config(small_cfg("decor", weight=0.0))
+        cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK)
+        dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK)
         for rc, rd in zip(cor, dec):
             for name in rc.params.tensors:
                 assert np.array_equal(rc.params.tensors[name], rd.params.tensors[name])
@@ -187,8 +198,8 @@ class TestTraining:
     def test_deterministic_retraining(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
-        b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         for ra, rb in zip(a, b):
             for name in ra.params.tensors:
                 assert np.array_equal(ra.params.tensors[name], rb.params.tensors[name])
@@ -196,13 +207,13 @@ class TestTraining:
     def test_retraining_one_arm_leaves_others_untouched(self, small_data, tmp_path):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         for k, res in enumerate(results):
             save_params(res.params, tmp_path / f"arm{k}.params", model_id=f"arm{k}")
         before = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
         # retrain arm 2 alone from the stored caches
         train_arm(2, arm_roles("dec")[2], x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR,
-                  [results[0].cache, results[1].cache])
+                  [results[0].cache, results[1].cache], BANK)
         after = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
         assert before == after
 
@@ -210,13 +221,11 @@ class TestTraining:
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
         base = train_arm(0, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
-                         SMALL_DECOR, [])
-        tight = DecorConfig(projection_dim=8, weight=0.2, stab_eps=1e-5, seed=7)
-        small_batches = TrainConfig(epochs=1, batch_size=9, learning_rate=1e-3,
-                                    init_seed=5, shuffle_seed=6)
+                         SMALL_DECOR, [], BANK)
+        small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
         with pytest.raises(ValueError, match="projection_dim"):
             train_arm(1, ArmRole(None, True), x, y, ids, ARCH, small_batches,
-                      tight, [base.cache])
+                      SMALL_DECOR, [base.cache], BANK)
 
     def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
         train, _ = small_data
@@ -227,19 +236,18 @@ class TestTraining:
                             lambda *a, **k: calls.append(a[0]) or real(*a, **k))
         arch = ArchConfig(conv_blocks=((4, 5, 2),), feature_dim=8, num_classes=3,
                           input_length=64)
-        small_batches = TrainConfig(epochs=1, batch_size=9, learning_rate=1e-3,
-                                    init_seed=5, shuffle_seed=6)
-        decor = DecorConfig(projection_dim=5, weight=0.2, stab_eps=1e-5, seed=7)
+        small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
+        decor = decor_from_config(small_cfg("decor", projection_dim=5))
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=9, got 9")):
-            train_ensemble("dec", x, y, ids, arch, small_batches, decor)
+            train_ensemble("dec", x, y, ids, arch, small_batches, decor, BANK)
         assert calls == []
 
     def test_curve_columns(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         assert all("cor" not in row for row in results[0].curve)
         assert all("cor" in row for row in results[1].curve)
         assert all("cor" in row for row in results[2].curve)
@@ -249,39 +257,37 @@ class TestEvaluate:
     def test_filtered_arms_see_their_band(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        bank = design_bank(next_pow2(64), 0.2, 0.05)
-        results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR,
-                                 bank)
+        results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         m = evaluate_arms([r.params for r in results], arm_roles("fcor"),
-                          test.signals_matrix(), test.labels_array(), None, bank)
+                          test.signals_matrix(), test.labels_array(), None, BANK)
         assert set(m) == {"average", "p1", "p2", "p3", "n_masked"}
         assert m["n_masked"] == len(test)
 
     def test_mask_restricts_scoring(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         xt, yt = test.signals_matrix(), test.labels_array()
         mask = np.zeros(len(yt), dtype=bool)
         mask[:2] = True
-        m = evaluate_arms([r.params for r in results], arm_roles("cor"), xt, yt, mask)
+        m = evaluate_arms([r.params for r in results], arm_roles("cor"), xt, yt, mask, BANK)
         assert m["n_masked"] == 2
 
     def test_empty_mask_rejected(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         with pytest.raises(ValueError, match="mask"):
             evaluate_arms([r.params for r in results], arm_roles("cor"),
                           test.signals_matrix(), test.labels_array(),
-                          np.zeros(len(test), dtype=bool))
+                          np.zeros(len(test), dtype=bool), BANK)
 
 
 class TestCorrelationReport:
     def test_self_r2_is_one(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         rep = correlation_report([r.cache.features for r in results])
         for i in range(3):
             assert abs(rep["matrix"][i][i] - 1.0) < 1e-8
@@ -289,7 +295,7 @@ class TestCorrelationReport:
     def test_values_clamped_and_structured(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
         rep = correlation_report([r.cache.features for r in results])
         for row in rep["matrix"]:
             assert all(0.0 <= v <= 1.0 for v in row)

@@ -139,7 +139,7 @@ class TestParamsRoundtrip:
     def test_functional_equivalence(self, tmp_path):
         params = init_params(TINY, 22)
         path = tmp_path / "m.params"
-        save_params(params, path)
+        save_params(params, path, model_id="arm0")
         back = load_params(path)
         x = np.random.default_rng(6).normal(size=(3, 32))
         assert np.array_equal(forward(params, x)[0].data, forward(back, x)[0].data)
@@ -153,7 +153,7 @@ class TestParamsRoundtrip:
     def test_truncated_file(self, tmp_path):
         params = init_params(TINY, 24)
         path = tmp_path / "m.params"
-        save_params(params, path)
+        save_params(params, path, model_id="arm0")
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 64])
         with pytest.raises(ValueError, match="truncated"):

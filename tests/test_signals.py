@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densemble.autodiff import next_pow2
+from densemble.config import resolve_config, synth_from_config
 from densemble.fourier import band_energy, design_bank
 from densemble.signals import (
     Dataset,
@@ -18,9 +19,14 @@ from densemble.signals import (
 )
 
 
+def synth_cfg(**data) -> SynthConfig:
+    """The default dataset shape with `data` merged over it."""
+    return synth_from_config(resolve_config({"data": data}))
+
+
 class TestSynthesize:
     def test_deterministic(self):
-        cfg = SynthConfig(records_per_class=5)
+        cfg = synth_cfg(records_per_class=5)
         a = synthesize(cfg, 42)
         b = synthesize(cfg, 42)
         for ra, rb in zip(a.records, b.records):
@@ -28,33 +34,33 @@ class TestSynthesize:
             assert np.array_equal(ra.signal, rb.signal)
 
     def test_seed_changes_output(self):
-        cfg = SynthConfig(records_per_class=3)
+        cfg = synth_cfg(records_per_class=3)
         a = synthesize(cfg, 1)
         b = synthesize(cfg, 2)
         assert not np.array_equal(a.records[0].signal, b.records[0].signal)
 
     def test_counts_and_labels(self):
-        ds = synthesize(SynthConfig(num_classes=3, records_per_class=50), 7)
+        ds = synthesize(synth_cfg(records_per_class=50), 7)
         assert len(ds) == 150
         labels = ds.labels_array()
         for c in range(3):
             assert int((labels == c).sum()) == 50
 
     def test_four_classes(self):
-        ds = synthesize(SynthConfig(num_classes=4, records_per_class=4), 7)
+        ds = synthesize(synth_cfg(num_classes=4, records_per_class=4), 7)
         assert ds.num_classes == 4
         assert len(ds) == 16
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            SynthConfig(num_classes=5)
+            SynthConfig(num_classes=5, records_per_class=50, length=512, sample_rate_hz=128.0)
         with pytest.raises(ValueError):
-            SynthConfig(records_per_class=1)
+            SynthConfig(num_classes=3, records_per_class=1, length=512, sample_rate_hz=128.0)
 
     def test_linear_probe_on_band_energies(self):
         # default-config separability: a logistic probe on the two band
         # energies must reach at least 65% accuracy
-        cfg = SynthConfig()
+        cfg = synth_cfg()
         ds = synthesize(cfg, 101)
         train_raw, test_raw = split(ds, 0.9, 202)
         train = preprocess(train_raw, cfg.length)
@@ -84,7 +90,7 @@ class TestSynthesize:
 
 class TestManifestRoundtrip:
     def test_write_read_bitwise(self, tmp_path):
-        ds = synthesize(SynthConfig(num_classes=3, records_per_class=10), 5)
+        ds = synthesize(synth_cfg(records_per_class=10), 5)
         manifest = save_dataset(ds, tmp_path)
         back = load_dataset(manifest)
         assert len(back) == 30
@@ -184,7 +190,7 @@ class TestPreprocess:
         assert np.array_equal(out.records[0].signal, np.zeros(6))
 
     def test_training_stats_recomputed(self):
-        ds = synthesize(SynthConfig(records_per_class=20), 9)
+        ds = synthesize(synth_cfg(records_per_class=20), 9)
         train_raw, _ = split(ds, 0.9, 3)
         train = preprocess(train_raw, 512)
         x = train.signals_matrix()
@@ -192,7 +198,7 @@ class TestPreprocess:
         assert abs(float(x.std()) - 1.0) < 1e-3
 
     def test_stats_reused_for_test_split(self):
-        ds = synthesize(SynthConfig(records_per_class=20), 9)
+        ds = synthesize(synth_cfg(records_per_class=20), 9)
         train_raw, test_raw = split(ds, 0.9, 3)
         train = preprocess(train_raw, 512)
         test = preprocess(test_raw, 512, stats=train.normalization)
@@ -201,7 +207,7 @@ class TestPreprocess:
 
 class TestSplit:
     def test_counts_stratified(self):
-        ds = synthesize(SynthConfig(num_classes=3, records_per_class=50), 11)
+        ds = synthesize(synth_cfg(records_per_class=50), 11)
         train, test = split(ds, 0.9, 1)
         assert len(train) == 135 and len(test) == 15
         for c in range(3):
@@ -209,13 +215,13 @@ class TestSplit:
             assert int((test.labels_array() == c).sum()) == 5
 
     def test_deterministic(self):
-        ds = synthesize(SynthConfig(records_per_class=10), 11)
+        ds = synthesize(synth_cfg(records_per_class=10), 11)
         a = split(ds, 0.8, 5)
         b = split(ds, 0.8, 5)
         assert a[0].ids() == b[0].ids() and a[1].ids() == b[1].ids()
 
     def test_union_and_disjoint(self):
-        ds = synthesize(SynthConfig(records_per_class=10), 11)
+        ds = synthesize(synth_cfg(records_per_class=10), 11)
         train, test = split(ds, 0.8, 5)
         train_ids, test_ids = set(train.ids()), set(test.ids())
         assert not train_ids & test_ids
@@ -227,6 +233,6 @@ class TestSplit:
             split(ds, 0.5, 0)
 
     def test_invalid_fraction(self):
-        ds = synthesize(SynthConfig(records_per_class=4), 0)
+        ds = synthesize(synth_cfg(records_per_class=4), 0)
         with pytest.raises(ValueError):
             split(ds, 1.0, 0)
