@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 INDEX_HEADER = ["record_id", "label", "masked", "linf_delta"]
-MANIFEST_KEYS = ("family", "epsilon", "alpha", "steps", "kernel_bank", "target_model_id")
+MANIFEST_KEYS = ("family", "epsilon", "alpha", "steps", "kernel_bank", "target_model_id",
+                 "target_params_sha256")
 
 # (width in samples, std in samples); widths odd, std = width / 4.
 DEFAULT_SAP_KERNELS = ((5, 1.25), (9, 2.25), (13, 3.25), (17, 4.25), (21, 5.25))
@@ -169,6 +170,7 @@ class AttackedSet:
     mask: np.ndarray = field(repr=False)  # base model correct on naturals
     spec: AttackSpec
     target_model_id: str
+    target_params_sha256: str  # of the target's arm0.params bytes
 
     def linf_deltas(self) -> np.ndarray:
         return np.max(np.abs(self.perturbed - self.natural), axis=1)
@@ -181,6 +183,7 @@ def craft_set(
     ids,
     spec: AttackSpec,
     base: ClassifierParams,
+    target_params_sha256: str,
 ) -> AttackedSet:
     """Perturb every sample against `target`; the scoring mask keeps only
     samples the base model classifies correctly in natural form."""
@@ -195,6 +198,7 @@ def craft_set(
         mask=mask,
         spec=spec,
         target_model_id="arm0",
+        target_params_sha256=target_params_sha256,
     )
 
 
@@ -211,6 +215,7 @@ def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
         "steps": aset.spec.steps,
         "kernel_bank": [list(k) for k in aset.spec.kernel_bank],
         "target_model_id": aset.target_model_id,
+        "target_params_sha256": aset.target_params_sha256,
     }
     write_json(out_dir / "attack_manifest.json", manifest)
     deltas = aset.linf_deltas()
@@ -257,4 +262,5 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
         mask=np.array(mask, dtype=bool),
         spec=spec,
         target_model_id=manifest["target_model_id"],
+        target_params_sha256=manifest["target_params_sha256"],
     )

@@ -10,7 +10,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +40,21 @@ from .ensemble import (
 )
 from .model import load_params, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
-from .storage import write_csv, write_json
+from .storage import digest, write_bytes, write_csv, write_json
 
 __all__ = ["main", "entry"]
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, args: dict) -> None:
     write_json(out_dir / "run_manifest.json", {"command": command, "args": args, "config": cfg})
+
+
+def _sha256(data: Path | bytes) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.read_bytes()).hexdigest()
+
+
+def _split_digest(ds) -> str:
+    return digest(ds.ids(), ds.labels_array(), ds.signals_matrix())
 
 
 def _load_splits(cfg: dict):
@@ -86,10 +96,41 @@ def _write_curve(path: Path, curve: list[dict]) -> None:
               [[row["epoch"]] + [repr(row[c]) for c in columns[1:]] for row in curve])
 
 
+def _arm_keys(kind, train_digest, arch, tcfg, decor, bank) -> list[str]:
+    """Each arm's content key: a digest of everything that decides its bytes.
+    An unfiltered arm that does not decorrelate is keyed like the same `cor` arm."""
+    keys: list[str] = []
+    for k, role in enumerate(arm_roles(kind)):
+        parts = [train_digest, arch, tcfg, k, role.band]
+        if role.band is not None:
+            parts += [bank.cutoff, bank.transition_width]
+        if role.decorrelates(decor, k):
+            parts += [decor, list(keys)]
+        keys.append(digest(*parts))
+    return keys
+
+
+def _find_sibling(out_root: Path, kind: str, k: int, key: str):
+    """(kind, cache, {file name: bytes}) of arm k under another kind whose
+    cache records `key` and whose params still hash to that cache, or None."""
+    names = (f"arm{k}.params", f"arm{k}.cache", f"arm{k}_curve.csv")
+    for other in (o for o in KINDS if o != kind):
+        try:
+            cache = load_cache(out_root / other / names[1])
+            blobs = {name: (out_root / other / name).read_bytes() for name in names}
+        except (OSError, ValueError):  # absent or damaged: no source
+            continue
+        prov = cache.provenance
+        if prov.get("arm_key") == key and prov.get("params_sha256") == _sha256(blobs[names[0]]):
+            return other, cache, blobs
+    return None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     kind = args.kind
-    out_dir = resolve_path(cfg, args.out) / kind
+    out_root = resolve_path(cfg, args.out)
+    out_dir = out_root / kind
     existing = sorted(p.name for p in out_dir.glob("arm*.params"))
     if existing and not args.force:
         print(
@@ -99,20 +140,28 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 1
 
     train, _ = _load_splits(cfg)
+    arch, tcfg, decor = arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg)
     bank = bank_from_config(cfg)
-    results = train_ensemble(
-        kind,
-        train.signals_matrix(),
-        train.labels_array(),
-        train.ids(),
-        arch_from_config(cfg),
-        train_from_config(cfg),
-        decor_from_config(cfg),
-        bank,
-    )
+    train_digest = _split_digest(train)
+    keys = _arm_keys(kind, train_digest, arch, tcfg, decor, bank)
+    # An arm already trained under another kind of this --out is copied, not
+    # trained again; the own kind is never a source, so --force retrains.
+    found = {k: hit for k, key in enumerate(keys)
+             if (hit := _find_sibling(out_root, kind, k, key))}
+    results = train_ensemble(kind, train.signals_matrix(), train.labels_array(), train.ids(),
+                             arch, tcfg, decor, bank, {k: hit[1] for k, hit in found.items()})
     for k, res in enumerate(results):
-        save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
-        save_cache(res.cache, out_dir / f"arm{k}.cache")
+        if res is None:
+            other, _, blobs = found[k]
+            for name, blob in blobs.items():
+                write_bytes(out_dir / name, blob)
+            print(f"arm{k}: copied from {Path(args.out) / other} (key {keys[k][:8]})")
+            continue
+        params_path = out_dir / f"arm{k}.params"
+        save_params(res.params, params_path, model_id=f"arm{k}")
+        provenance = {"arm_key": keys[k], "params_sha256": _sha256(params_path),
+                      "train_digest": train_digest}
+        save_cache(replace(res.cache, provenance=provenance), out_dir / f"arm{k}.cache")
         _write_curve(out_dir / f"arm{k}_curve.csv", res.curve)
     _write_manifest(out_dir, "train", cfg, {"kind": kind, "out": args.out})
     print(f"trained {kind} ensemble into {out_dir}")
@@ -126,23 +175,19 @@ def _discover_kinds(ensemble_dir: Path) -> list[str]:
     return kinds
 
 
-def _load_base_arm(ensemble_dir: Path, kinds: list[str]):
+def _base_arm_sha256(ensemble_dir: Path, kinds: list[str]) -> str:
     """The base arm is shared: every kind trains arm 0 identically, so the
     parameter files must be byte-identical across kinds."""
-    blobs = {k: (ensemble_dir / k / "arm0.params").read_bytes() for k in kinds}
-    first = kinds[0]
-    for k in kinds[1:]:
-        if blobs[k] != blobs[first]:
-            raise RuntimeError(
-                f"base arm differs between ensembles {first} and {k}; "
-                "retrain with consistent seeds"
-            )
-    return load_params(ensemble_dir / first / "arm0.params")
+    shas = {k: _sha256(ensemble_dir / k / "arm0.params") for k in kinds}
+    if odd := [k for k in kinds if shas[k] != shas[kinds[0]]]:
+        raise RuntimeError(f"base arm differs between ensembles {kinds[0]} and {odd[0]}; "
+                           "retrain with consistent seeds")
+    return shas[kinds[0]]
 
 
-def _load_arms(kind_dir: Path, train_ids: list[str]):
-    """Each arm's parameters and its saved training-set features, whose
-    rows must follow the current train split."""
+def _load_arms(kind_dir: Path, train_ids: list[str], train_digest: str):
+    """Each arm's parameters and its saved training-set features, which must
+    have been computed by those parameters over the current train split."""
     arms, feats = [], []
     for k in range(ARMS_PER_ENSEMBLE):
         params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
@@ -150,6 +195,10 @@ def _load_arms(kind_dir: Path, train_ids: list[str]):
             if not path.exists():
                 raise FileNotFoundError(f"missing artifact: {path}")
         cache = load_cache(cache_path)
+        for name, current, what in (("params_sha256", _sha256(params_path), params_path.name),
+                                    ("train_digest", train_digest, "the current train split")):
+            if cache.provenance.get(name) != current:
+                raise RuntimeError(f"{cache_path}: {name} differs from {what}; retrain")
         if cache.sample_ids != tuple(train_ids):
             raise RuntimeError(f"{cache_path}: sample_ids differ from the train split")
         arms.append(load_params(params_path))
@@ -161,7 +210,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     out_dir = resolve_path(cfg, args.out)
-    base = _load_base_arm(ensemble_dir, _discover_kinds(ensemble_dir))
+    kinds = _discover_kinds(ensemble_dir)
+    base_sha = _base_arm_sha256(ensemble_dir, kinds)
+    base = load_params(ensemble_dir / kinds[0] / "arm0.params")
     _, test = _load_splits(cfg)
     x, y, ids = test.signals_matrix(), test.labels_array(), test.ids()
 
@@ -170,7 +221,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     for name, spec in grid:
         cell = out_dir / name
         try:
-            aset = craft_set(base, x, y, ids, spec, base)
+            aset = craft_set(base, x, y, ids, spec, base, base_sha)
             save_attacked_set(aset, cell)
         except Exception as exc:  # noqa: BLE001 - report cell and keep going
             failed.append((cell.name, str(exc)))
@@ -192,18 +243,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kinds = _discover_kinds(ensemble_dir)
     bank = bank_from_config(cfg)
     train, test = _load_splits(cfg)
-    arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids()) for kind in kinds}
+    base_sha = _base_arm_sha256(ensemble_dir, kinds)
 
     # (attack, epsilon, inputs, labels, mask); the natural test set first
     test_x = test.signals_matrix()
     cells = [("none", 0.0, test_x, test.labels_array(), None)]
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
-        if (aset.spec != spec or aset.ids != test.ids()
+        if (aset.spec != spec or aset.ids != test.ids() or aset.target_params_sha256 != base_sha
                 or not np.array_equal(aset.natural, test_x)):
-            raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with "
-                               "another attack grid or test split; rerun attack")
+            raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
+                               "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
+    train_digest = _split_digest(train)
+    arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids(), train_digest)
+                    for kind in kinds}
 
     rows = []
     correlations = {}

@@ -110,14 +110,21 @@ def pair_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, step_seed) -> Tensor
     return decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps)
 
 
+# Header fields tying a saved cache to its arm: the arm's key, the sha256 of
+# the arm{k}.params beside it and the digest of the train split.
+PROVENANCE = ("arm_key", "params_sha256", "train_digest")
+
+
 @dataclass(frozen=True)
 class FeatureCache:
     """Frozen features of one trained model over the full training set,
-    row i matching training sample i under the canonical ordering."""
+    row i matching training sample i under the canonical ordering, and
+    the ``PROVENANCE`` fields of a saved cache (none in memory)."""
 
     model_id: str
     sample_ids: tuple[str, ...]
     features: np.ndarray = field(repr=False)
+    provenance: dict[str, str]
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] != len(self.sample_ids):
@@ -189,6 +196,7 @@ def build_cache(
         model_id=model_id,
         sample_ids=tuple(sample_ids),
         features=np.concatenate(chunks, axis=0),
+        provenance={},
     )
 
 
@@ -196,6 +204,7 @@ def save_cache(cache: FeatureCache, path) -> None:
     write_container(
         path,
         {
+            **cache.provenance,
             "kind": "feature-cache",
             "model_id": cache.model_id,
             "sample_ids": list(cache.sample_ids),
@@ -212,4 +221,5 @@ def load_cache(path) -> FeatureCache:
         model_id=header["model_id"],
         sample_ids=tuple(header["sample_ids"]),
         features=arrays["features"],
+        provenance={k: header[k] for k in PROVENANCE if k in header},
     )

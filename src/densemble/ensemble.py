@@ -5,7 +5,8 @@ cross-entropy baseline (the attack target); arms 1 and 2 optionally see
 a single spectral band of the input (fcor / fdec) and optionally carry
 the decorrelation penalty against all previously trained arms (dec /
 fdec).  Arms train strictly in order because each decorrelating arm
-regresses against the frozen feature caches of its predecessors.
+regresses against the frozen feature caches of its predecessors; an arm
+whose cache is already known (copied from another kind) is skipped.
 
 Everything is deterministic given the config seeds: data shuffling,
 initialization and projection draws use separate named streams, so a
@@ -16,7 +17,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +56,11 @@ ARMS_PER_ENSEMBLE = 3
 class ArmRole:
     band: int | None  # index into the filter bank, None = unfiltered
     decorrelate: bool
+
+    def decorrelates(self, decor: DecorConfig, prior: int) -> bool:
+        """Whether the arm trains with the penalty: its role asks for it, the
+        weight is positive and `prior` earlier arms exist to decorrelate from."""
+        return self.decorrelate and decor.weight > 0 and prior > 0
 
 
 def arm_roles(kind: str) -> tuple[ArmRole, ...]:
@@ -196,7 +202,7 @@ def train_arm(
     """
     n = train_x.shape[0]
     view = _arm_view(train_x, role, bank)
-    active = role.decorrelate and decor_cfg.weight > 0 and len(caches) > 0
+    active = role.decorrelates(decor_cfg, len(caches))
     if active:
         _check_decor_batches(n, arch, cfg, decor_cfg)
 
@@ -241,23 +247,25 @@ def train_ensemble(
     cfg: TrainConfig,
     decor_cfg: DecorConfig,
     bank: RingFilterBank,
-) -> list[ArmResult]:
-    """Train the three arms strictly sequentially; each decorrelating arm
-    sees the caches of every arm trained before it."""
+    known: Mapping[int, FeatureCache],
+) -> list[ArmResult | None]:
+    """Train the three arms strictly sequentially, except the arms in
+    `known`, whose caches are given and whose results are None; each
+    decorrelating arm sees the caches of every arm before it."""
     roles = arm_roles(kind)
-    results: list[ArmResult] = []
+    results: list[ArmResult | None] = []
+    caches: list[FeatureCache] = []
     try:
         for k, role in enumerate(roles):  # check every arm's batches before any trains
-            if role.decorrelate and decor_cfg.weight > 0 and k > 0:
+            if role.decorrelates(decor_cfg, k):
                 _check_decor_batches(train_x.shape[0], arch, cfg, decor_cfg)
         for k, role in enumerate(roles):
-            caches = [r.cache for r in results] if role.decorrelate else []
-            results.append(
-                train_arm(
-                    k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
-                    caches, bank,
-                )
+            res = None if k in known else train_arm(
+                k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
+                list(caches) if role.decorrelate else [], bank,
             )
+            results.append(res)
+            caches.append(known[k] if res is None else res.cache)
     except Exception as exc:
         raise RuntimeError(f"arm {k} of {kind} failed: {exc}") from exc
     return results

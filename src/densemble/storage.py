@@ -17,6 +17,8 @@ attack manifests): sorted keys, indent 2, trailing newline.  CSV artifacts
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -29,7 +31,7 @@ MAGIC = b"DENS"
 FORMAT_VERSION = 1
 
 __all__ = ["write_bytes", "write_container", "read_container", "write_json", "read_json",
-           "write_csv", "read_csv", "FORMAT_VERSION"]
+           "write_csv", "read_csv", "digest", "FORMAT_VERSION"]
 
 
 def write_bytes(path: str | Path, data: bytes) -> None:
@@ -119,3 +121,18 @@ def read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]
         if len(row) != len(header):
             raise ValueError(f"{path}:{ln}: expected {len(header)} columns, got {len(row)}")
     return rows
+
+
+def digest(*parts) -> str:
+    """sha256 hex over content only, never paths or times: an array by its
+    dtype, shape and bytes, a dataclass by its fields, anything else as
+    sorted-keys JSON; each part is prefixed with its length."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            blob = f"{part.dtype.str}{part.shape}".encode() + np.ascontiguousarray(part).tobytes()
+        else:
+            part = dataclasses.asdict(part) if dataclasses.is_dataclass(part) else part
+            blob = json.dumps(part, sort_keys=True).encode("utf-8")
+        h.update(struct.pack(">Q", len(blob)) + blob)
+    return h.hexdigest()

@@ -33,6 +33,8 @@ CFG = resolve_config({
     "train": {"epochs": 40, "batch_size": 27, "seeds": {"init": 1, "shuffle": 2}},
     "decor": {"projection_dim": 8, "seed": 0},
 })
+# what cli.attack records for the target's parameter file; craft_set only passes it on
+TARGET_SHA = "5e" * 32
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +152,7 @@ class TestSap:
 class TestCraftSet:
     def test_mask_is_base_correct(self, toy):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.0), params)
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.0), params, TARGET_SHA)
         assert np.array_equal(aset.mask, predict(params, x) == y)
         # with zero budget the masked base accuracy is 100% by construction
         correct = predict(params, aset.perturbed) == aset.labels
@@ -158,7 +160,7 @@ class TestCraftSet:
 
     def test_mask_fraction_equals_natural_accuracy(self, toy):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.25), params)
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.25), params, TARGET_SHA)
         assert aset.mask.mean() == np.mean(predict(params, x) == y)
 
     def test_monotone_trend_in_eps(self, toy):
@@ -166,7 +168,7 @@ class TestCraftSet:
         grid = [0.0, 0.3, 0.8, 1.5]
         accs = []
         for eps in grid:
-            aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", eps), params)
+            aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", eps), params, TARGET_SHA)
             correct = predict(params, aset.perturbed) == aset.labels
             accs.append(float(np.mean(correct[aset.mask])))
         inversions = [accs[i + 1] - accs[i] for i in range(len(accs) - 1)
@@ -176,7 +178,7 @@ class TestCraftSet:
 
     def test_roundtrip_storage(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("sap", 0.4), params)
+        aset = craft_set(params, x, y, ids, AttackSpec.make("sap", 0.4), params, TARGET_SHA)
         save_attacked_set(aset, tmp_path / "cell")
         back = load_attacked_set(tmp_path / "cell")
         assert back.ids == aset.ids
@@ -185,10 +187,12 @@ class TestCraftSet:
         assert np.array_equal(back.natural, aset.natural)
         assert np.array_equal(back.perturbed, aset.perturbed)
         assert back.spec.family == "sap" and back.spec.eps == 0.4
+        assert back.target_params_sha256 == TARGET_SHA
 
     def test_bad_signal_value_names_file_and_line(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params)
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
+                         TARGET_SHA)
         save_attacked_set(aset, tmp_path / "cell")
         bad = tmp_path / "cell" / "perturbed" / f"{ids[0]}.txt"
         lines = bad.read_text().splitlines()
@@ -199,7 +203,8 @@ class TestCraftSet:
 
     def test_short_signal_names_its_file(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params)
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
+                         TARGET_SHA)
         save_attacked_set(aset, tmp_path / "cell")
         short = tmp_path / "cell" / "perturbed" / f"{ids[1]}.txt"
         short.write_text("\n".join(short.read_text().splitlines()[:-1]) + "\n")

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from densemble import config
+from densemble import config, ensemble
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
 
-from conftest import read_report, run_cli
+from conftest import KINDS, read_report, run_cli
 
 TINY = {
     "data": {
@@ -208,6 +208,80 @@ def test_train_rerun_byte_identical(workdir):
             assert path.read_bytes() == (d2 / path.name).read_bytes(), path.name
 
 
+def _count_arm_trainings(monkeypatch) -> list[int]:
+    calls = []
+    real = ensemble.train_arm
+    monkeypatch.setattr(ensemble, "train_arm", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    return calls
+
+
+def _tree(d):
+    return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
+            if p.is_file()}
+
+
+def test_kinds_under_one_out_share_arms_and_bytes(tmp_path, monkeypatch, capsys):
+    # the roots differ only through DENSEMBLE_ROOT, so even the manifests can match
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY, data=dict(TINY["data"], dir=str(tmp_path / "data")))))
+    cfg = str(cfg_path)
+    assert run_cli("generate-data", "--config", cfg, "--out", str(tmp_path / "data")) == 0
+    calls = _count_arm_trainings(monkeypatch)
+    monkeypatch.setenv("DENSEMBLE_ROOT", str(tmp_path / "shared"))
+    for kind in KINDS:
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+    shared_calls, out = len(calls), capsys.readouterr().out
+    alone = {}
+    for kind in KINDS:
+        monkeypatch.setenv("DENSEMBLE_ROOT", str(tmp_path / f"alone_{kind}"))
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+        alone.update(_tree(tmp_path / f"alone_{kind}" / "ens"))
+    assert (shared_calls, len(calls) - shared_calls) == (9, 12)
+    assert _tree(tmp_path / "shared" / "ens") == alone
+    key = load_cache(tmp_path / "shared" / "ens" / "cor" / "arm0.cache").provenance["arm_key"]
+    assert out.count(f"arm0: copied from ens/cor (key {key[:8]})") == 3
+    assert "arm1: copied" not in out and "arm2: copied" not in out
+
+
+def test_weight_zero_dec_trained_alone_equals_cor(workdir, monkeypatch):
+    # each kind under its own output root, so no arm can be copied from the other
+    tmp_path, cfg = workdir
+    other = json.loads((tmp_path / "config.json").read_text())
+    other["decor"] = dict(other["decor"], weight=0.0)
+    for root in ("r_cor", "r_dec"):
+        other["output"] = {"root": str(tmp_path / root)}
+        (tmp_path / f"{root}.json").write_text(json.dumps(other))
+        assert run_cli("generate-data", "--config", str(tmp_path / f"{root}.json"),
+                       "--out", "data") == 0
+    calls = _count_arm_trainings(monkeypatch)
+    for kind in ("cor", "dec"):
+        assert run_cli("train", "--config", str(tmp_path / f"r_{kind}.json"), "--kind", kind,
+                       "--out", "ens") == 0
+    assert calls == [0, 1, 2, 0, 1, 2]
+    for k in range(3):
+        for name in (f"arm{k}.params", f"arm{k}.cache", f"arm{k}_curve.csv"):
+            assert (tmp_path / "r_cor" / "ens" / "cor" / name).read_bytes() == (
+                tmp_path / "r_dec" / "ens" / "dec" / name).read_bytes(), name
+
+
+def test_sibling_whose_params_differ_from_its_cache_is_retrained(workdir, monkeypatch, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    params = tmp_path / "ens" / "cor" / "arm0.params"
+    blob = bytearray(params.read_bytes())
+    blob[-1] ^= 1
+    params.write_bytes(bytes(blob))
+    calls = _count_arm_trainings(monkeypatch)
+    assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens") == 0
+    assert calls == [0, 1, 2]
+    assert "copied" not in capsys.readouterr().out
+    assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "clean") == 0
+    for path in sorted((tmp_path / "clean" / "dec").iterdir()):
+        if path.name != "run_manifest.json":
+            assert path.read_bytes() == (tmp_path / "ens" / "dec" / path.name).read_bytes()
+
+
 def test_attack_grid_and_zero_epsilon(workdir):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
@@ -315,7 +389,7 @@ def test_evaluate_cache_of_other_sample_order_exits_1(attacked, capsys):
     path = tmp_path / "ens" / "cor" / "arm2.cache"
     cache = load_cache(path)
     permuted = tuple(reversed(cache.sample_ids))
-    save_cache(FeatureCache(cache.model_id, permuted, cache.features), path)
+    save_cache(FeatureCache(cache.model_id, permuted, cache.features, cache.provenance), path)
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     err = capsys.readouterr().err
@@ -418,4 +492,50 @@ def test_evaluate_refuses_attacked_sets_of_regenerated_data(attacked, capsys):
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert str(tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_evaluate_refuses_cache_of_another_arm(workdir, capsys):
+    # every kind's arm1 cache has model_id arm1; its params_sha256 tells them apart
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    for kind in ("cor", "fcor"):
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    cache = tmp_path / "ens" / "fcor" / "arm1.cache"
+    cache.write_bytes((tmp_path / "ens" / "cor" / "arm1.cache").read_bytes())
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{cache}: params_sha256 differs" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_evaluate_refuses_caches_of_regenerated_data(attacked, capsys):
+    # same record ids and split, other signals, attacked again: the arms are stale
+    tmp_path, cfg = attacked
+    other = json.loads((tmp_path / "config.json").read_text())
+    other["data"]["seeds"]["synth"] = 99
+    (tmp_path / "other_config.json").write_text(json.dumps(other))
+    assert run_cli("generate-data", "--config", str(tmp_path / "other_config.json"),
+                   "--out", "data") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk2") == 0
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk2", "--out", "r/report.csv") == 1
+    cache = tmp_path / "ens" / "cor" / "arm0.cache"
+    assert f"{cache}: train_digest differs" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_evaluate_refuses_attacked_sets_of_a_retrained_base_arm(attacked, capsys):
+    tmp_path, cfg = attacked
+    other = json.loads((tmp_path / "config.json").read_text())
+    other["train"]["seeds"]["init"] = 99
+    (tmp_path / "other_config.json").write_text(json.dumps(other))
+    assert run_cli("train", "--config", str(tmp_path / "other_config.json"), "--kind", "cor",
+                   "--out", "ens", "--force") == 0
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    manifest = tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json"
+    assert f"{manifest}: made with another attack grid, test split or arm0.params" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "r" / "report.csv").exists()

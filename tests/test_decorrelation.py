@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,7 @@ class TestPairLoss:
 
 def _cache_from(matrix, model_id="arm0"):
     ids = tuple(f"s{i}" for i in range(matrix.shape[0]))
-    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix)
+    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix, provenance={})
 
 
 class TestEnsembleDecorLoss:
@@ -345,8 +347,10 @@ class TestFeatureCache:
 
     def test_save_load_roundtrip(self, tmp_path):
         cache = _cache_from(np.random.default_rng(60).normal(size=(6, 4)), "arm2")
-        save_cache(cache, tmp_path / "c.cache")
+        provenance = {"arm_key": "a" * 64, "params_sha256": "b" * 64, "train_digest": "c" * 64}
+        save_cache(replace(cache, provenance=provenance), tmp_path / "c.cache")
         back = load_cache(tmp_path / "c.cache")
         assert back.model_id == "arm2"
         assert back.sample_ids == cache.sample_ids
         assert np.array_equal(back.features, cache.features)
+        assert back.provenance == provenance

@@ -188,8 +188,8 @@ class TestTraining:
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
         lam0 = decor_from_config(small_cfg("decor", weight=0.0))
-        cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK)
-        dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK)
+        cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
+        dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
         for rc, rd in zip(cor, dec):
             for name in rc.params.tensors:
                 assert np.array_equal(rc.params.tensors[name], rd.params.tensors[name])
@@ -198,8 +198,8 @@ class TestTraining:
     def test_deterministic_retraining(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
-        b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
+        b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         for ra, rb in zip(a, b):
             for name in ra.params.tensors:
                 assert np.array_equal(ra.params.tensors[name], rb.params.tensors[name])
@@ -207,7 +207,7 @@ class TestTraining:
     def test_retraining_one_arm_leaves_others_untouched(self, small_data, tmp_path):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         for k, res in enumerate(results):
             save_params(res.params, tmp_path / f"arm{k}.params", model_id=f"arm{k}")
         before = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
@@ -241,13 +241,13 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=9, got 9")):
-            train_ensemble("dec", x, y, ids, arch, small_batches, decor, BANK)
+            train_ensemble("dec", x, y, ids, arch, small_batches, decor, BANK, {})
         assert calls == []
 
     def test_curve_columns(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         assert all("cor" not in row for row in results[0].curve)
         assert all("cor" in row for row in results[1].curve)
         assert all("cor" in row for row in results[2].curve)
@@ -257,7 +257,7 @@ class TestEvaluate:
     def test_filtered_arms_see_their_band(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         m = evaluate_arms([r.params for r in results], arm_roles("fcor"),
                           test.signals_matrix(), test.labels_array(), None, BANK)
         assert set(m) == {"average", "p1", "p2", "p3", "n_masked"}
@@ -266,7 +266,7 @@ class TestEvaluate:
     def test_mask_restricts_scoring(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         xt, yt = test.signals_matrix(), test.labels_array()
         mask = np.zeros(len(yt), dtype=bool)
         mask[:2] = True
@@ -276,7 +276,7 @@ class TestEvaluate:
     def test_empty_mask_rejected(self, small_data):
         train, test = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         with pytest.raises(ValueError, match="mask"):
             evaluate_arms([r.params for r in results], arm_roles("cor"),
                           test.signals_matrix(), test.labels_array(),
@@ -287,7 +287,7 @@ class TestCorrelationReport:
     def test_self_r2_is_one(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         rep = correlation_report([r.cache.features for r in results])
         for i in range(3):
             assert abs(rep["matrix"][i][i] - 1.0) < 1e-8
@@ -295,7 +295,7 @@ class TestCorrelationReport:
     def test_values_clamped_and_structured(self, small_data):
         train, _ = small_data
         x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK)
+        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         rep = correlation_report([r.cache.features for r in results])
         for row in rep["matrix"]:
             assert all(0.0 <= v <= 1.0 for v in row)
