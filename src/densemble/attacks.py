@@ -169,7 +169,6 @@ class AttackedSet:
     perturbed: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)  # base model correct on naturals
     spec: AttackSpec
-    target_model_id: str
     target_params_sha256: str  # of the target's arm0.params bytes
 
     def linf_deltas(self) -> np.ndarray:
@@ -197,7 +196,6 @@ def craft_set(
         perturbed=perturbed,
         mask=mask,
         spec=spec,
-        target_model_id="arm0",
         target_params_sha256=target_params_sha256,
     )
 
@@ -214,7 +212,7 @@ def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
         "alpha": aset.spec.alpha,
         "steps": aset.spec.steps,
         "kernel_bank": [list(k) for k in aset.spec.kernel_bank],
-        "target_model_id": aset.target_model_id,
+        "target_model_id": "arm0",
         "target_params_sha256": aset.target_params_sha256,
     }
     write_json(out_dir / "attack_manifest.json", manifest)
@@ -261,6 +259,5 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
         perturbed=perturbed,
         mask=np.array(mask, dtype=bool),
         spec=spec,
-        target_model_id=manifest["target_model_id"],
         target_params_sha256=manifest["target_params_sha256"],
     )

@@ -31,7 +31,6 @@ from .config import (
 )
 from .decorrelation import load_cache, save_cache
 from .ensemble import (
-    ARMS_PER_ENSEMBLE,
     KINDS,
     arm_roles,
     correlation_report,
@@ -53,12 +52,9 @@ def _sha256(data: Path | bytes) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.read_bytes()).hexdigest()
 
 
-def _split_digest(ds) -> str:
-    return digest(ds.ids(), ds.labels_array(), ds.signals_matrix())
-
-
 def _load_splits(cfg: dict):
-    """Dataset -> (train, test), both preprocessed with train-split stats."""
+    """Dataset -> (train, test, train digest), both splits preprocessed with
+    train-split stats."""
     data = cfg["data"]
     if data["source"] == "manifest":
         manifest = resolve_path(cfg, data["manifest"])
@@ -68,7 +64,7 @@ def _load_splits(cfg: dict):
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
     train = preprocess(train_raw, data["length"])
     test = preprocess(test_raw, data["length"], stats=train.normalization)
-    return train, test
+    return train, test, digest(train.ids(), train.labels_array(), train.signals_matrix())
 
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
@@ -110,20 +106,22 @@ def _arm_keys(kind, train_digest, arch, tcfg, decor, bank) -> list[str]:
     return keys
 
 
-def _find_sibling(out_root: Path, kind: str, k: int, key: str):
-    """(kind, cache, {file name: bytes}) of arm k under another kind whose
-    cache records `key` and whose params still hash to that cache, or None."""
-    names = (f"arm{k}.params", f"arm{k}.cache", f"arm{k}_curve.csv")
-    for other in (o for o in KINDS if o != kind):
-        try:
-            cache = load_cache(out_root / other / names[1])
-            blobs = {name: (out_root / other / name).read_bytes() for name in names}
-        except (OSError, ValueError):  # absent or damaged: no source
-            continue
-        prov = cache.provenance
-        if prov.get("arm_key") == key and prov.get("params_sha256") == _sha256(blobs[names[0]]):
-            return other, cache, blobs
-    return None
+def _checked_cache(kind_dir: Path, k: int, train_ids: list[str], train_digest: str):
+    """Arm k's cache and the `arm{k}.params` bytes it was checked against: the
+    cache must record their sha256 and have been computed over the current
+    train split."""
+    params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
+    for path in (params_path, cache_path):
+        if not path.exists():
+            raise FileNotFoundError(f"missing artifact: {path}")
+    cache, params = load_cache(cache_path), params_path.read_bytes()
+    for name, current, what in (("params_sha256", _sha256(params), params_path.name),
+                                ("train_digest", train_digest, "the current train split")):
+        if cache.provenance.get(name) != current:
+            raise ValueError(f"{cache_path}: {name} differs from {what}; retrain")
+    if cache.sample_ids != tuple(train_ids):
+        raise ValueError(f"{cache_path}: sample_ids differ from the train split")
+    return cache, params
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -139,22 +137,31 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         return 1
 
-    train, _ = _load_splits(cfg)
+    train, _, train_digest = _load_splits(cfg)
     arch, tcfg, decor = arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg)
     bank = bank_from_config(cfg)
-    train_digest = _split_digest(train)
     keys = _arm_keys(kind, train_digest, arch, tcfg, decor, bank)
     # An arm already trained under another kind of this --out is copied, not
     # trained again; the own kind is never a source, so --force retrains.
-    found = {k: hit for k, key in enumerate(keys)
-             if (hit := _find_sibling(out_root, kind, k, key))}
+    found = {}
+    for k, key in enumerate(keys):
+        for other in (o for o in KINDS if o != kind):
+            try:
+                cache, params = _checked_cache(out_root / other, k, train.ids(), train_digest)
+                curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
+            except (OSError, ValueError):  # absent, damaged or stale: no source
+                continue
+            if cache.provenance.get("arm_key") == key:
+                found[k] = other, cache, params, curve
+                break
     results = train_ensemble(kind, train.signals_matrix(), train.labels_array(), train.ids(),
                              arch, tcfg, decor, bank, {k: hit[1] for k, hit in found.items()})
     for k, res in enumerate(results):
         if res is None:
-            other, _, blobs = found[k]
-            for name, blob in blobs.items():
-                write_bytes(out_dir / name, blob)
+            other, cache, params, curve = found[k]
+            write_bytes(out_dir / f"arm{k}.params", params)
+            save_cache(cache, out_dir / f"arm{k}.cache")
+            write_bytes(out_dir / f"arm{k}_curve.csv", curve)
             print(f"arm{k}: copied from {Path(args.out) / other} (key {keys[k][:8]})")
             continue
         params_path = out_dir / f"arm{k}.params"
@@ -168,52 +175,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _discover_kinds(ensemble_dir: Path) -> list[str]:
-    kinds = [k for k in KINDS if (ensemble_dir / k / "arm0.params").exists()]
-    if not kinds:
+def _base_arm(ensemble_dir: Path) -> tuple[list[str], str]:
+    """The kinds trained under `ensemble_dir` and the sha256 of their base
+    arm: every kind trains arm 0 identically, so the parameter files must be
+    byte-identical across kinds."""
+    shas = {k: _sha256(p) for k in KINDS if (p := ensemble_dir / k / "arm0.params").exists()}
+    if not shas:
         raise FileNotFoundError(f"no trained ensembles under {ensemble_dir}")
-    return kinds
-
-
-def _base_arm_sha256(ensemble_dir: Path, kinds: list[str]) -> str:
-    """The base arm is shared: every kind trains arm 0 identically, so the
-    parameter files must be byte-identical across kinds."""
-    shas = {k: _sha256(ensemble_dir / k / "arm0.params") for k in kinds}
+    kinds = list(shas)
     if odd := [k for k in kinds if shas[k] != shas[kinds[0]]]:
         raise RuntimeError(f"base arm differs between ensembles {kinds[0]} and {odd[0]}; "
                            "retrain with consistent seeds")
-    return shas[kinds[0]]
-
-
-def _load_arms(kind_dir: Path, train_ids: list[str], train_digest: str):
-    """Each arm's parameters and its saved training-set features, which must
-    have been computed by those parameters over the current train split."""
-    arms, feats = [], []
-    for k in range(ARMS_PER_ENSEMBLE):
-        params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
-        for path in (params_path, cache_path):
-            if not path.exists():
-                raise FileNotFoundError(f"missing artifact: {path}")
-        cache = load_cache(cache_path)
-        for name, current, what in (("params_sha256", _sha256(params_path), params_path.name),
-                                    ("train_digest", train_digest, "the current train split")):
-            if cache.provenance.get(name) != current:
-                raise RuntimeError(f"{cache_path}: {name} differs from {what}; retrain")
-        if cache.sample_ids != tuple(train_ids):
-            raise RuntimeError(f"{cache_path}: sample_ids differ from the train split")
-        arms.append(load_params(params_path))
-        feats.append(cache.features)
-    return arms, feats
+    return kinds, shas[kinds[0]]
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     out_dir = resolve_path(cfg, args.out)
-    kinds = _discover_kinds(ensemble_dir)
-    base_sha = _base_arm_sha256(ensemble_dir, kinds)
+    kinds, base_sha = _base_arm(ensemble_dir)
+    train, test, train_digest = _load_splits(cfg)
+    _checked_cache(ensemble_dir / kinds[0], 0, train.ids(), train_digest)
     base = load_params(ensemble_dir / kinds[0] / "arm0.params")
-    _, test = _load_splits(cfg)
     x, y, ids = test.signals_matrix(), test.labels_array(), test.ids()
 
     grid = attack_cells(cfg)
@@ -240,10 +223,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     attacks_dir = resolve_path(cfg, args.attacks)
     report_path = resolve_path(cfg, args.out)
-    kinds = _discover_kinds(ensemble_dir)
+    kinds, base_sha = _base_arm(ensemble_dir)
     bank = bank_from_config(cfg)
-    train, test = _load_splits(cfg)
-    base_sha = _base_arm_sha256(ensemble_dir, kinds)
+    train, test, train_digest = _load_splits(cfg)
 
     # (attack, epsilon, inputs, labels, mask); the natural test set first
     test_x = test.signals_matrix()
@@ -255,19 +237,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
-    train_digest = _split_digest(train)
-    arms_by_kind = {kind: _load_arms(ensemble_dir / kind, train.ids(), train_digest)
-                    for kind in kinds}
+    caches = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids(), train_digest)[0]
+                     for k in range(len(arm_roles(kind)))] for kind in kinds}
 
     rows = []
     correlations = {}
     for kind in kinds:
-        arms, feats = arms_by_kind[kind]
+        arms = [load_params(ensemble_dir / kind / f"arm{k}.params")
+                for k in range(len(caches[kind]))]
         for fam, eps, x, y, mask in cells:
             m = evaluate_arms(arms, arm_roles(kind), x, y, mask, bank)
             rows.append([kind, fam, repr(float(eps))]
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
-        correlations[kind] = correlation_report(feats)
+        correlations[kind] = correlation_report([cache.features for cache in caches[kind]])
 
     write_csv(report_path,
               ["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"], rows)

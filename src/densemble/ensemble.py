@@ -33,7 +33,6 @@ from .model import ArchConfig, ClassifierParams, forward, init_params, make_para
 
 __all__ = [
     "KINDS",
-    "ARMS_PER_ENSEMBLE",
     "ArmRole",
     "arm_roles",
     "AdamConfig",
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 KINDS = ("cor", "dec", "fcor", "fdec")
-ARMS_PER_ENSEMBLE = 3
 
 
 @dataclass(frozen=True)

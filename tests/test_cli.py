@@ -481,14 +481,22 @@ def test_evaluate_refuses_sap_cell_with_bad_kernels(attacked, capsys, bank):
     assert not (tmp_path / "r" / "report.csv").exists()
 
 
-def test_evaluate_refuses_attacked_sets_of_regenerated_data(attacked, capsys):
-    # same record ids and split, other signals: natural/ no longer matches
-    tmp_path, cfg = attacked
+def _regenerate_data(tmp_path, root=None):
+    # same record ids and split, other signals
     other = json.loads((tmp_path / "config.json").read_text())
     other["data"]["seeds"]["synth"] = 99
+    if root is not None:
+        other["output"] = {"root": str(root)}
     (tmp_path / "other_config.json").write_text(json.dumps(other))
     assert run_cli("generate-data", "--config", str(tmp_path / "other_config.json"),
                    "--out", "data") == 0
+    return str(tmp_path / "other_config.json")
+
+
+def test_evaluate_refuses_attacked_sets_of_regenerated_data(attacked, capsys):
+    # natural/ no longer matches the test split
+    tmp_path, cfg = attacked
+    _regenerate_data(tmp_path)
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert str(tmp_path / "atk" / "pgd_eps00" / "attack_manifest.json") in capsys.readouterr().err
@@ -510,20 +518,48 @@ def test_evaluate_refuses_cache_of_another_arm(workdir, capsys):
     assert not (tmp_path / "r" / "report.csv").exists()
 
 
-def test_evaluate_refuses_caches_of_regenerated_data(attacked, capsys):
-    # same record ids and split, other signals, attacked again: the arms are stale
-    tmp_path, cfg = attacked
-    other = json.loads((tmp_path / "config.json").read_text())
-    other["data"]["seeds"]["synth"] = 99
-    (tmp_path / "other_config.json").write_text(json.dumps(other))
-    assert run_cli("generate-data", "--config", str(tmp_path / "other_config.json"),
-                   "--out", "data") == 0
-    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk2") == 0
-    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
-                   "--attacks", "atk2", "--out", "r/report.csv") == 1
+def test_attack_refuses_base_arm_of_regenerated_data(workdir, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    _regenerate_data(tmp_path)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
     cache = tmp_path / "ens" / "cor" / "arm0.cache"
     assert f"{cache}: train_digest differs" in capsys.readouterr().err
+    assert not (tmp_path / "atk").exists()
+
+
+def test_evaluate_refuses_caches_of_regenerated_data(attacked, capsys):
+    # arm 1 trained on other signals, copied in with its cache: the pair is
+    # consistent, but stale for the current data
+    tmp_path, cfg = attacked
+    other_cfg = _regenerate_data(tmp_path, tmp_path / "other")
+    assert run_cli("train", "--config", other_cfg, "--kind", "cor", "--out", "ens") == 0
+    for name in ("arm1.params", "arm1.cache"):
+        (tmp_path / "ens" / "cor" / name).write_bytes(
+            (tmp_path / "other" / "ens" / "cor" / name).read_bytes())
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    cache = tmp_path / "ens" / "cor" / "arm1.cache"
+    assert f"{cache}: train_digest differs" in capsys.readouterr().err
     assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_attack_and_evaluate_refuse_base_arms_that_differ(workdir, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    for kind in ("cor", "fcor"):
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+    params = tmp_path / "ens" / "fcor" / "arm0.params"
+    blob = bytearray(params.read_bytes())
+    blob[-1] ^= 1
+    params.write_bytes(bytes(blob))
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    assert "base arm differs between ensembles cor and fcor" in capsys.readouterr().err
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert "base arm differs between ensembles cor and fcor" in capsys.readouterr().err
+    assert not (tmp_path / "atk").exists() and not (tmp_path / "r").exists()
 
 
 def test_evaluate_refuses_attacked_sets_of_a_retrained_base_arm(attacked, capsys):

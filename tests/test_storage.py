@@ -96,3 +96,19 @@ def test_only_storage_writes_files_and_uses_csv():
     # the check itself sees storage's writes
     assert {w for _, w in _artifact_writes(ast.parse(Path(storage.__file__).read_text()))} == {
         "import csv", "open() for writing"}
+
+
+def _load_cache_callers(path: Path):
+    """'<module>.<top-level name>' for every call of `load_cache` in a module."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "load_cache" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                yield f"{path.stem}.{getattr(top, 'name', '<module>')}"
+
+
+def test_only_checked_cache_reads_caches():
+    # every cache the program reads is checked against its params and the data
+    src = Path(densemble.__file__).parent
+    callers = [c for path in sorted(src.glob("*.py")) for c in _load_cache_callers(path)]
+    assert callers == ["cli._checked_cache"]
