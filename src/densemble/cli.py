@@ -62,9 +62,9 @@ def _load_splits(cfg: dict):
         manifest = resolve_path(cfg, data["dir"]) / "manifest.csv"
     ds = load_dataset(manifest)
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
-    train = preprocess(train_raw, data["length"])
-    test = preprocess(test_raw, data["length"], stats=train.normalization)
-    return train, test, digest(train.ids(), train.labels_array(), train.signals_matrix())
+    train, stats = preprocess(train_raw, data["length"])
+    test, _ = preprocess(test_raw, data["length"], stats=stats)
+    return train, test, digest(train.ids, train.labels, train.signals)
 
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
@@ -78,7 +78,7 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
     write_json(out_dir / "split.json", {
         "train_fraction": data["train_fraction"], "seed": data["seeds"]["split"],
-        "train_ids": train_raw.ids(), "test_ids": test_raw.ids(),
+        "train_ids": train_raw.ids, "test_ids": test_raw.ids,
     })
     _write_manifest(out_dir, "generate-data", cfg, {"out": args.out})
     print(f"generated {len(ds)} records in {out_dir}")
@@ -147,14 +147,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     for k, key in enumerate(keys):
         for other in (o for o in KINDS if o != kind):
             try:
-                cache, params = _checked_cache(out_root / other, k, train.ids(), train_digest)
+                cache, params = _checked_cache(out_root / other, k, train.ids, train_digest)
                 curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
             except (OSError, ValueError):  # absent, damaged or stale: no source
                 continue
             if cache.provenance.get("arm_key") == key:
                 found[k] = other, cache, params, curve
                 break
-    results = train_ensemble(kind, train.signals_matrix(), train.labels_array(), train.ids(),
+    results = train_ensemble(kind, train.signals, train.labels, train.ids,
                              arch, tcfg, decor, bank, {k: hit[1] for k, hit in found.items()})
     for k, res in enumerate(results):
         if res is None:
@@ -195,16 +195,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
     out_dir = resolve_path(cfg, args.out)
     kinds, base_sha = _base_arm(ensemble_dir)
     train, test, train_digest = _load_splits(cfg)
-    _checked_cache(ensemble_dir / kinds[0], 0, train.ids(), train_digest)
+    _checked_cache(ensemble_dir / kinds[0], 0, train.ids, train_digest)
     base = load_params(ensemble_dir / kinds[0] / "arm0.params")
-    x, y, ids = test.signals_matrix(), test.labels_array(), test.ids()
 
     grid = attack_cells(cfg)
     failed = []
     for name, spec in grid:
         cell = out_dir / name
         try:
-            aset = craft_set(base, x, y, ids, spec, base, base_sha)
+            aset = craft_set(base, test.signals, test.labels, test.ids, spec, base, base_sha)
             save_attacked_set(aset, cell)
         except Exception as exc:  # noqa: BLE001 - report cell and keep going
             failed.append((cell.name, str(exc)))
@@ -228,16 +227,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, train_digest = _load_splits(cfg)
 
     # (attack, epsilon, inputs, labels, mask); the natural test set first
-    test_x = test.signals_matrix()
-    cells = [("none", 0.0, test_x, test.labels_array(), None)]
+    cells = [("none", 0.0, test.signals, test.labels, None)]
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
-        if (aset.spec != spec or aset.ids != test.ids() or aset.target_params_sha256 != base_sha
-                or not np.array_equal(aset.natural, test_x)):
+        if (aset.spec != spec or aset.ids != test.ids or aset.target_params_sha256 != base_sha
+                or not np.array_equal(aset.natural, test.signals)):
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
-    caches = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids(), train_digest)[0]
+    caches = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids, train_digest)[0]
                      for k in range(len(arm_roles(kind)))] for kind in kinds}
 
     rows = []

@@ -9,7 +9,7 @@ No batch norm or dropout: inference is deterministic per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,28 +38,11 @@ class ArchConfig:
 
     def __post_init__(self):
         for name, low in (("feature_dim", 1), ("num_classes", 2), ("input_length", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+            if not isinstance(getattr(self, name), int) or getattr(self, name) < low:
+                raise ValueError(f"{name}: must be an int >= {low}, got {getattr(self, name)!r}")
         for ch, k, s in self.conv_blocks:
             if ch < 1 or k < 1 or s < 1:
                 raise ValueError(f"conv_blocks: need sizes >= 1, got ({ch}, {k}, {s})")
-
-    def to_dict(self) -> dict:
-        return {
-            "conv_blocks": [list(b) for b in self.conv_blocks],
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "input_length": self.input_length,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ArchConfig":
-        return ArchConfig(
-            conv_blocks=tuple(tuple(b) for b in d["conv_blocks"]),
-            feature_dim=int(d["feature_dim"]),
-            num_classes=int(d["num_classes"]),
-            input_length=int(d["input_length"]),
-        )
 
 
 @dataclass
@@ -138,7 +121,7 @@ def predict(params: ClassifierParams, x) -> np.ndarray:
 def save_params(params: ClassifierParams, path, model_id: str) -> None:
     write_container(
         path,
-        {"kind": "classifier-params", "model_id": model_id, "arch": params.arch.to_dict()},
+        {"kind": "classifier-params", "model_id": model_id, "arch": asdict(params.arch)},
         params.tensors,
     )
 
@@ -147,8 +130,12 @@ def load_params(path) -> ClassifierParams:
     header, arrays = read_container(path)
     if header.get("kind") != "classifier-params":
         raise ValueError(f"{path}: not a classifier parameter file")
-    arch = ArchConfig.from_dict(header["arch"])
-    expected = init_params(arch, seed=0).tensors
+    arch = header["arch"]
+    try:  # an unknown field, or a non-int size, is refused, never coerced
+        arch = ArchConfig(**{**arch, "conv_blocks": tuple(map(tuple, arch["conv_blocks"]))})
+        expected = init_params(arch, seed=0).tensors
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad arch in header: {exc}") from None
     if set(arrays) != set(expected):
         raise ValueError(f"{path}: parameter names do not match the architecture")
     for name, ref in expected.items():

@@ -1,11 +1,13 @@
 """Dataset ingestion, synthetic ECG-like generation, preprocessing, splits.
 
 Signal files are plain text, one decimal float per line; a dataset is
-described by a CSV manifest with header ``record_id,label,path``.  The
-synthetic generator produces beat trains whose class differences live in
-both the low and the high end of the spectrum (rhythm regularity, QRS
-sharpness, broadband noise), so band-limited views of the data stay
-partially discriminative.
+described by a CSV manifest with header ``record_id,label,path``.  A
+:class:`Dataset` holds its records as columns: ids, int64 labels and the
+signals, one array per record at their raw lengths until :func:`preprocess`
+stacks them into one ``(n, length)`` matrix.  The synthetic generator
+produces beat trains whose class differences live in both the low and the
+high end of the spectrum (rhythm regularity, QRS sharpness, broadband
+noise), so band-limited views of the data stay partially discriminative.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import numpy as np
 from .storage import read_csv, write_bytes, write_csv
 
 __all__ = [
-    "Record",
-    "NormalizationStats",
     "Dataset",
     "SynthConfig",
     "synthesize",
@@ -34,40 +34,21 @@ __all__ = [
 
 
 @dataclass
-class Record:
-    id: str
-    signal: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    mean: float
-    std: float
-
-
-@dataclass
 class Dataset:
-    records: list[Record]
-    num_classes: int
+    """Records as columns; `labels` index `label_names`."""
+
+    ids: list[str]
+    labels: np.ndarray
+    signals: list[np.ndarray] | np.ndarray
     label_names: list[str]
-    fixed_length: int | None = None
-    normalization: NormalizationStats | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-    def labels_array(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def signals_matrix(self) -> np.ndarray:
-        """Stack all signals; requires a fixed post-preprocessing length."""
-        if self.fixed_length is None:
-            raise ValueError("dataset has no fixed length; preprocess first")
-        return np.stack([r.signal for r in self.records])
+    def subset(self, indices: list[int]) -> Dataset:
+        """The records at `indices`, in that order; the signals as a list."""
+        return Dataset([self.ids[i] for i in indices], self.labels[indices],
+                       [self.signals[i] for i in indices], list(self.label_names))
 
 
 # Longest record, in samples.  The filter bank and every batch grow with
@@ -162,17 +143,14 @@ def _synth_signal(label: int, length: int, fs: float, rng: np.random.Generator) 
 
 def synthesize(cfg: SynthConfig, seed: int) -> Dataset:
     """Deterministic synthetic dataset; each record gets its own RNG stream."""
-    records = []
+    ids, signals = [], []
     for label in range(cfg.num_classes):
         for i in range(cfg.records_per_class):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), label, i]))
-            sig = _synth_signal(label, cfg.length, cfg.sample_rate_hz, rng)
-            records.append(Record(id=f"r{label}_{i:04d}", signal=sig, label=label))
-    return Dataset(
-        records=records,
-        num_classes=cfg.num_classes,
-        label_names=[str(c) for c in range(cfg.num_classes)],
-    )
+            ids.append(f"r{label}_{i:04d}")
+            signals.append(_synth_signal(label, cfg.length, cfg.sample_rate_hz, rng))
+    labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.records_per_class)
+    return Dataset(ids, labels, signals, [str(c) for c in range(cfg.num_classes)])
 
 
 MANIFEST_HEADER = ["record_id", "label", "path"]
@@ -180,19 +158,24 @@ MANIFEST_HEADER = ["record_id", "label", "path"]
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load records listed in a manifest CSV; labels become dense indices
-    in first-appearance order."""
+    in first-appearance order.  A record id names the record's file in every
+    attacked set, so it must be a unique plain file name."""
     base = Path(manifest_path).parent
     label_names: list[str] = []
-    records = []
-    for _, (rid, label_str, rel) in read_csv(manifest_path, MANIFEST_HEADER):
+    ids, labels, signals, seen = [], [], [], set()
+    for ln, (rid, label_str, rel) in read_csv(manifest_path, MANIFEST_HEADER):
+        if rid in ("", ".", "..") or "/" in rid or "\\" in rid or rid in seen:
+            raise ValueError(f"{manifest_path}:{ln}: record_id {rid!r} must be a unique file name")
+        seen.add(rid)
         if label_str not in label_names:
             label_names.append(label_str)
         path = base / rel
         if not path.exists():
             raise FileNotFoundError(f"signal file missing: {path}")
-        sig = read_signal(path)
-        records.append(Record(id=rid, signal=sig, label=label_names.index(label_str)))
-    return Dataset(records=records, num_classes=len(label_names), label_names=label_names)
+        ids.append(rid)
+        labels.append(label_names.index(label_str))
+        signals.append(read_signal(path))
+    return Dataset(ids, np.array(labels, dtype=np.int64), signals, label_names)
 
 
 def read_signal(path: str | Path) -> np.ndarray:
@@ -226,10 +209,10 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     """Write manifest + one signal file per record; returns the manifest path."""
     out_dir = Path(out_dir)
     rows = []
-    for rec in ds.records:
-        rel = f"signals/{rec.id}.txt"
-        write_signal(out_dir / rel, rec.signal)
-        rows.append([rec.id, ds.label_names[rec.label], rel])
+    for rid, label, signal in zip(ds.ids, ds.labels, ds.signals):
+        rel = f"signals/{rid}.txt"
+        write_signal(out_dir / rel, signal)
+        rows.append([rid, ds.label_names[label], rel])
     manifest = out_dir / "manifest.csv"
     write_csv(manifest, MANIFEST_HEADER, rows)
     return manifest
@@ -247,9 +230,10 @@ def _fit_length(sig: np.ndarray, length: int) -> np.ndarray:
 
 
 def preprocess(
-    ds: Dataset, length: int, stats: NormalizationStats | None = None
-) -> Dataset:
-    """Crop/pad every record to `length`, then z-score.
+    ds: Dataset, length: int, stats: tuple[float, float] | None = None
+) -> tuple[Dataset, tuple[float, float]]:
+    """Crop/pad every record to `length`, stack them, then z-score; returns
+    the dataset and its `(mean, std)`.
 
     When `stats` is None the normalization statistics are computed from
     this dataset (call on the training split first and pass its stats
@@ -257,23 +241,11 @@ def preprocess(
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    fitted = [_fit_length(r.signal, length) for r in ds.records]
+    fitted = np.stack([_fit_length(s, length) for s in ds.signals])
     if stats is None:
-        stacked = np.stack(fitted)
-        stats = NormalizationStats(
-            mean=float(stacked.mean()), std=max(float(stacked.std()), 1e-8)
-        )
-    records = [
-        Record(id=r.id, signal=(s - stats.mean) / stats.std, label=r.label)
-        for r, s in zip(ds.records, fitted)
-    ]
-    return Dataset(
-        records=records,
-        num_classes=ds.num_classes,
-        label_names=list(ds.label_names),
-        fixed_length=length,
-        normalization=stats,
-    )
+        stats = float(fitted.mean()), max(float(fitted.std()), 1e-8)
+    mean, std = stats
+    return Dataset(list(ds.ids), ds.labels, (fitted - mean) / std, list(ds.label_names)), stats
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -285,29 +257,14 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    by_label: dict[int, list[int]] = {}
-    for i, rec in enumerate(ds.records):
-        by_label.setdefault(rec.label, []).append(i)
-
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for label in sorted(by_label):
-        idxs = by_label[label]
+    for label in np.unique(ds.labels):
+        idxs = np.flatnonzero(ds.labels == label)
         if len(idxs) < 2:
             raise ValueError(f"class {label} has fewer than 2 records; cannot split")
         perm = rng.permutation(len(idxs))
         n_tr = min(len(idxs) - 1, max(1, int(len(idxs) * train_fraction)))
-        train_idx.extend(idxs[j] for j in perm[:n_tr])
-        test_idx.extend(idxs[j] for j in perm[n_tr:])
-
-    def subset(indices: list[int]) -> Dataset:
-        indices = sorted(indices)
-        return Dataset(
-            records=[ds.records[i] for i in indices],
-            num_classes=ds.num_classes,
-            label_names=list(ds.label_names),
-            fixed_length=ds.fixed_length,
-            normalization=ds.normalization,
-        )
-
-    return subset(train_idx), subset(test_idx)
+        train_idx.extend(idxs[perm[:n_tr]])
+        test_idx.extend(idxs[perm[n_tr:]])
+    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))

@@ -42,15 +42,15 @@ def toy():
     """Small trained model plus its test split; enough accuracy to attack."""
     ds = synthesize(synth_from_config(CFG), 77)
     train_raw, test_raw = split(ds, 0.9, 78)
-    train = preprocess(train_raw, 128)
-    test = preprocess(test_raw, 128, stats=train.normalization)
+    train, stats = preprocess(train_raw, 128)
+    test, _ = preprocess(test_raw, 128, stats=stats)
     res = train_arm(
         0, ArmRole(band=None, decorrelate=False),
-        train.signals_matrix(), train.labels_array(), train.ids(),
+        train.signals, train.labels, train.ids,
         arch_from_config(CFG), train_from_config(CFG), decor_from_config(CFG), [],
         bank_from_config(CFG),
     )
-    return res.params, test.signals_matrix(), test.labels_array(), test.ids()
+    return res.params, test.signals, test.labels, test.ids
 
 
 class TestGaussianKernel:

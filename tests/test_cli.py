@@ -321,6 +321,34 @@ def test_attack_requires_trained_base(workdir, capsys):
     assert "no trained ensembles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_id", ["r0_0000", "../../escaped"])
+def test_bad_record_id_fails_every_command_naming_manifest_line(workdir, capsys, bad_id):
+    # a record id names the record's file in every attacked set, so a repeated
+    # or path-like one must stop each command before it trains or writes
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    manifest = tmp_path / "data" / "manifest.csv"
+    good = manifest.read_text()
+    lines = good.splitlines(keepends=True)
+    lines[2] = bad_id + lines[2][lines[2].index(","):]  # line 3: the second record
+    bad = "".join(lines)
+    message = f"{manifest}:3: record_id {bad_id!r} must be a unique file name"
+    manifest.write_text(bad)
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ens").exists()
+    manifest.write_text(good)
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    manifest.write_text(bad)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "atk").exists() and not (tmp_path / "escaped.txt").exists()
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_rows_and_determinism(workdir):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0

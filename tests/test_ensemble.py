@@ -50,8 +50,8 @@ def small_cfg(section: str, **over) -> dict:
 def small_data():
     ds = synthesize(synth_from_config(CFG), 88)
     train_raw, test_raw = split(ds, 0.9, 89)
-    train = preprocess(train_raw, 64)
-    test = preprocess(test_raw, 64, stats=train.normalization)
+    train, stats = preprocess(train_raw, 64)
+    test, _ = preprocess(test_raw, 64, stats=stats)
     return train, test
 
 
@@ -176,7 +176,7 @@ class TestTraining:
     def test_cor_reduces_to_plain_ce(self, small_data):
         # identical seeds, decorrelation path never taken -> identical params
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         a = train_arm(1, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
                       SMALL_DECOR, [], BANK)
         b = train_arm(1, ArmRole(None, True), x, y, ids, ARCH, SMALL_TRAIN,
@@ -186,7 +186,7 @@ class TestTraining:
 
     def test_dec_weight_zero_reproduces_cor(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         lam0 = decor_from_config(small_cfg("decor", weight=0.0))
         cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
         dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
@@ -197,7 +197,7 @@ class TestTraining:
 
     def test_deterministic_retraining(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         for ra, rb in zip(a, b):
@@ -206,7 +206,7 @@ class TestTraining:
 
     def test_retraining_one_arm_leaves_others_untouched(self, small_data, tmp_path):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         for k, res in enumerate(results):
             save_params(res.params, tmp_path / f"arm{k}.params", model_id=f"arm{k}")
@@ -219,7 +219,7 @@ class TestTraining:
 
     def test_decor_arm_needs_large_batches(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         base = train_arm(0, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
                          SMALL_DECOR, [], BANK)
         small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
@@ -229,7 +229,7 @@ class TestTraining:
 
     def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         calls = []
         real = ensemble.train_arm
         monkeypatch.setattr(ensemble, "train_arm",
@@ -246,7 +246,7 @@ class TestTraining:
 
     def test_curve_columns(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         assert all("cor" not in row for row in results[0].curve)
         assert all("cor" in row for row in results[1].curve)
@@ -256,18 +256,18 @@ class TestTraining:
 class TestEvaluate:
     def test_filtered_arms_see_their_band(self, small_data):
         train, test = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         m = evaluate_arms([r.params for r in results], arm_roles("fcor"),
-                          test.signals_matrix(), test.labels_array(), None, BANK)
+                          test.signals, test.labels, None, BANK)
         assert set(m) == {"average", "p1", "p2", "p3", "n_masked"}
         assert m["n_masked"] == len(test)
 
     def test_mask_restricts_scoring(self, small_data):
         train, test = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        xt, yt = test.signals_matrix(), test.labels_array()
+        xt, yt = test.signals, test.labels
         mask = np.zeros(len(yt), dtype=bool)
         mask[:2] = True
         m = evaluate_arms([r.params for r in results], arm_roles("cor"), xt, yt, mask, BANK)
@@ -275,18 +275,18 @@ class TestEvaluate:
 
     def test_empty_mask_rejected(self, small_data):
         train, test = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         with pytest.raises(ValueError, match="mask"):
             evaluate_arms([r.params for r in results], arm_roles("cor"),
-                          test.signals_matrix(), test.labels_array(),
+                          test.signals, test.labels,
                           np.zeros(len(test), dtype=bool), BANK)
 
 
 class TestCorrelationReport:
     def test_self_r2_is_one(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         rep = correlation_report([r.cache.features for r in results])
         for i in range(3):
@@ -294,7 +294,7 @@ class TestCorrelationReport:
 
     def test_values_clamped_and_structured(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals_matrix(), train.labels_array(), train.ids()
+        x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         rep = correlation_report([r.cache.features for r in results])
         for row in rep["matrix"]:

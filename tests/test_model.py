@@ -1,3 +1,6 @@
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -161,12 +164,31 @@ class TestParamsRoundtrip:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "c.bin"
-        write_container(path, {"kind": "classifier-params", "arch": TINY.to_dict()}, {})
+        write_container(path, {"kind": "classifier-params", "arch": asdict(TINY)}, {})
         blob = path.read_bytes()
         # same-length version bump keeps the header length prefix valid
         path.write_bytes(blob.replace(b'"format_version":1', b'"format_version":9'))
         with pytest.raises(ValueError, match="version"):
             read_container(path)
+
+    def test_header_arch_layout(self, tmp_path):
+        path = tmp_path / "m.params"
+        save_params(init_params(TINY, 0), path, model_id="arm0")
+        assert read_container(path)[0]["arch"] == {
+            "conv_blocks": [[4, 5, 2], [8, 3, 2]], "feature_dim": 16, "num_classes": 3,
+            "input_length": 32}
+
+    @pytest.mark.parametrize("edit", [{"feature_dim": 16.0}, {"input_length": 32.0},
+                                      {"conv_blocks": [[4.0, 5, 2], [8, 3, 2]]},
+                                      {"dropout": 0.5}])
+    def test_bad_arch_header_names_file(self, tmp_path, edit):
+        # a float size is refused rather than coerced, an unknown field rather than ignored
+        path = tmp_path / "m.params"
+        header = {"kind": "classifier-params", "model_id": "arm0",
+                  "arch": {**asdict(TINY), **edit}}
+        write_container(path, header, init_params(TINY, 0).tensors)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad arch in header")):
+            load_params(path)
 
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -8,8 +8,6 @@ from densemble.config import resolve_config, synth_from_config
 from densemble.fourier import band_energy, design_bank
 from densemble.signals import (
     Dataset,
-    NormalizationStats,
-    Record,
     SynthConfig,
     load_dataset,
     preprocess,
@@ -29,26 +27,26 @@ class TestSynthesize:
         cfg = synth_cfg(records_per_class=5)
         a = synthesize(cfg, 42)
         b = synthesize(cfg, 42)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.id == rb.id and ra.label == rb.label
-            assert np.array_equal(ra.signal, rb.signal)
+        assert a.ids == b.ids and np.array_equal(a.labels, b.labels)
+        for sa, sb in zip(a.signals, b.signals):
+            assert np.array_equal(sa, sb)
 
     def test_seed_changes_output(self):
         cfg = synth_cfg(records_per_class=3)
         a = synthesize(cfg, 1)
         b = synthesize(cfg, 2)
-        assert not np.array_equal(a.records[0].signal, b.records[0].signal)
+        assert not np.array_equal(a.signals[0], b.signals[0])
 
     def test_counts_and_labels(self):
         ds = synthesize(synth_cfg(records_per_class=50), 7)
         assert len(ds) == 150
-        labels = ds.labels_array()
+        assert ds.labels.dtype == np.int64
         for c in range(3):
-            assert int((labels == c).sum()) == 50
+            assert int((ds.labels == c).sum()) == 50
 
     def test_four_classes(self):
         ds = synthesize(synth_cfg(num_classes=4, records_per_class=4), 7)
-        assert ds.num_classes == 4
+        assert ds.label_names == ["0", "1", "2", "3"]
         assert len(ds) == 16
 
     def test_invalid_config(self):
@@ -63,18 +61,18 @@ class TestSynthesize:
         cfg = synth_cfg()
         ds = synthesize(cfg, 101)
         train_raw, test_raw = split(ds, 0.9, 202)
-        train = preprocess(train_raw, cfg.length)
-        test = preprocess(test_raw, cfg.length, stats=train.normalization)
+        train, stats = preprocess(train_raw, cfg.length)
+        test, _ = preprocess(test_raw, cfg.length, stats=stats)
 
         bank = design_bank(next_pow2(cfg.length), 0.2, 0.0)
-        f_tr = np.log(band_energy(train.signals_matrix(), bank) + 1e-12)
-        f_te = np.log(band_energy(test.signals_matrix(), bank) + 1e-12)
+        f_tr = np.log(band_energy(train.signals, bank) + 1e-12)
+        f_te = np.log(band_energy(test.signals, bank) + 1e-12)
         mu, sd = f_tr.mean(0), f_tr.std(0)
         f_tr, f_te = (f_tr - mu) / sd, (f_te - mu) / sd
-        y_tr, y_te = train.labels_array(), test.labels_array()
+        y_tr, y_te = train.labels, test.labels
 
-        w = np.zeros((2, train.num_classes))
-        b = np.zeros(train.num_classes)
+        w = np.zeros((2, len(train.label_names)))
+        b = np.zeros(len(train.label_names))
         for _ in range(2000):
             z = f_tr @ w + b
             z -= z.max(axis=1, keepdims=True)
@@ -94,22 +92,16 @@ class TestManifestRoundtrip:
         manifest = save_dataset(ds, tmp_path)
         back = load_dataset(manifest)
         assert len(back) == 30
-        assert back.num_classes == 3
-        for ra, rb in zip(ds.records, back.records):
-            assert ra.id == rb.id and ra.label == rb.label
-            assert np.array_equal(ra.signal, rb.signal)
+        assert back.label_names == ["0", "1", "2"]
+        assert back.ids == ds.ids and np.array_equal(back.labels, ds.labels)
+        for sa, sb in zip(ds.signals, back.signals):
+            assert np.array_equal(sa, sb)
 
     def test_raw_lengths_preserved(self, tmp_path):
-        ds = Dataset(
-            records=[
-                Record("a", np.arange(7, dtype=float), 0),
-                Record("b", np.arange(9, dtype=float) * 0.5, 1),
-            ],
-            num_classes=2,
-            label_names=["0", "1"],
-        )
+        ds = Dataset(["a", "b"], np.array([0, 1]),
+                     [np.arange(7, dtype=float), np.arange(9, dtype=float) * 0.5], ["0", "1"])
         back = load_dataset(save_dataset(ds, tmp_path))
-        assert [len(r.signal) for r in back.records] == [7, 9]
+        assert [len(s) for s in back.signals] == [7, 9]
 
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -152,6 +144,16 @@ class TestManifestRoundtrip:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
             load_dataset(path)
 
+    @pytest.mark.parametrize("rid", ["", ".", "..", "sub/a", "..\\a", "a"])
+    def test_bad_record_id_names_manifest_line(self, tmp_path, rid):
+        # "a" repeats the first row's id; every id names a file of an attacked set
+        (tmp_path / "a.txt").write_text("1.0\n")
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"record_id,label,path\na,0,a.txt\n{rid},1,a.txt\n")
+        message = f"{path}:3: record_id {rid!r} must be a unique file name"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
     def test_empty_signal(self, tmp_path):
         (tmp_path / "x.txt").write_text("\n")
         path = tmp_path / "manifest.csv"
@@ -168,41 +170,42 @@ class TestManifestRoundtrip:
         )
         ds = load_dataset(path)
         assert ds.label_names == ["afib", "normal"]
-        assert [r.label for r in ds.records] == [0, 1, 0]
+        assert ds.labels.tolist() == [0, 1, 0]
 
 
 class TestPreprocess:
     def test_short_signal_padded_symmetrically(self):
-        ds = Dataset([Record("a", np.ones(4), 0)], 1, ["0"])
-        out = preprocess(ds, 8, stats=NormalizationStats(0.0, 1.0))
-        sig = out.records[0].signal
+        ds = Dataset(["a"], np.array([0]), [np.ones(4)], ["0"])
+        out, _ = preprocess(ds, 8, stats=(0.0, 1.0))
+        sig = out.signals[0]
         assert len(sig) == 8
         assert np.array_equal(sig, [0, 0, 1, 1, 1, 1, 0, 0])
 
     def test_long_signal_center_cropped(self):
-        ds = Dataset([Record("a", np.arange(10, dtype=float), 0)], 1, ["0"])
-        out = preprocess(ds, 4, stats=NormalizationStats(0.0, 1.0))
-        assert np.array_equal(out.records[0].signal, [3, 4, 5, 6])
+        ds = Dataset(["a"], np.array([0]), [np.arange(10, dtype=float)], ["0"])
+        out, _ = preprocess(ds, 4, stats=(0.0, 1.0))
+        assert np.array_equal(out.signals[0], [3, 4, 5, 6])
 
     def test_constant_dataset_zeroed(self):
-        ds = Dataset([Record("a", np.full(6, 3.25), 0)], 1, ["0"])
-        out = preprocess(ds, 6)
-        assert np.array_equal(out.records[0].signal, np.zeros(6))
+        ds = Dataset(["a"], np.array([0]), [np.full(6, 3.25)], ["0"])
+        out, _ = preprocess(ds, 6)
+        assert np.array_equal(out.signals[0], np.zeros(6))
 
     def test_training_stats_recomputed(self):
         ds = synthesize(synth_cfg(records_per_class=20), 9)
         train_raw, _ = split(ds, 0.9, 3)
-        train = preprocess(train_raw, 512)
-        x = train.signals_matrix()
+        train, _ = preprocess(train_raw, 512)
+        x = train.signals
+        assert x.shape == (len(train), 512)
         assert abs(float(x.mean())) < 1e-6
         assert abs(float(x.std()) - 1.0) < 1e-3
 
     def test_stats_reused_for_test_split(self):
         ds = synthesize(synth_cfg(records_per_class=20), 9)
         train_raw, test_raw = split(ds, 0.9, 3)
-        train = preprocess(train_raw, 512)
-        test = preprocess(test_raw, 512, stats=train.normalization)
-        assert test.normalization == train.normalization
+        train, stats = preprocess(train_raw, 512)
+        test, test_stats = preprocess(test_raw, 512, stats=stats)
+        assert test_stats == stats
 
 
 class TestSplit:
@@ -211,24 +214,40 @@ class TestSplit:
         train, test = split(ds, 0.9, 1)
         assert len(train) == 135 and len(test) == 15
         for c in range(3):
-            assert int((train.labels_array() == c).sum()) == 45
-            assert int((test.labels_array() == c).sum()) == 5
+            assert int((train.labels == c).sum()) == 45
+            assert int((test.labels == c).sum()) == 5
 
     def test_deterministic(self):
         ds = synthesize(synth_cfg(records_per_class=10), 11)
         a = split(ds, 0.8, 5)
         b = split(ds, 0.8, 5)
-        assert a[0].ids() == b[0].ids() and a[1].ids() == b[1].ids()
+        assert a[0].ids == b[0].ids and a[1].ids == b[1].ids
+
+    @pytest.mark.parametrize("seed, fraction, train_ids, test_ids", [
+        (7, 0.6, "k0 k1 k2 k5 k8", "k3 k4 k6 k7 k9"),
+        (0, 0.5, "k3 k6 k7 k8", "k0 k1 k2 k4 k5 k9"),
+        (3, 0.9, "k0 k2 k3 k4 k5 k6 k8", "k1 k7 k9"),
+    ])
+    def test_membership_golden(self, seed, fraction, train_ids, test_ids):
+        # interleaved, uneven classes whose first appearance is not label order
+        labels = [1, 0, 1, 1, 0, 1, 0, 1, 2, 2]
+        ds = Dataset([f"k{i}" for i in range(10)], np.array(labels, dtype=np.int64),
+                     [np.full(3, float(i)) for i in range(10)], ["b", "a", "c"])
+        train, test = split(ds, fraction, seed)
+        assert train.ids == train_ids.split() and test.ids == test_ids.split()
+        for part in (train, test):  # every column follows the ids
+            assert [f"k{int(sig[0])}" for sig in part.signals] == part.ids
+            assert part.labels.tolist() == [labels[int(rid[1:])] for rid in part.ids]
 
     def test_union_and_disjoint(self):
         ds = synthesize(synth_cfg(records_per_class=10), 11)
         train, test = split(ds, 0.8, 5)
-        train_ids, test_ids = set(train.ids()), set(test.ids())
+        train_ids, test_ids = set(train.ids), set(test.ids)
         assert not train_ids & test_ids
-        assert train_ids | test_ids == set(ds.ids())
+        assert train_ids | test_ids == set(ds.ids)
 
     def test_too_few_records(self):
-        ds = Dataset([Record("a", np.ones(4), 0)], 1, ["0"])
+        ds = Dataset(["a"], np.array([0]), [np.ones(4)], ["0"])
         with pytest.raises(ValueError, match="fewer than 2"):
             split(ds, 0.5, 0)
 
