@@ -107,9 +107,9 @@ def _arm_keys(kind, train_digest, arch, tcfg, decor, bank) -> list[str]:
 
 
 def _checked_cache(kind_dir: Path, k: int, train_ids: list[str], train_digest: str):
-    """Arm k's cache and the `arm{k}.params` bytes it was checked against: the
-    cache must record their sha256 and have been computed over the current
-    train split."""
+    """Arm k's cache, the `arm{k}.params` bytes it was checked against and the
+    parameters they hold: the cache must record their sha256 and have been
+    computed over the current train split."""
     params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
     for path in (params_path, cache_path):
         if not path.exists():
@@ -121,7 +121,7 @@ def _checked_cache(kind_dir: Path, k: int, train_ids: list[str], train_digest: s
             raise ValueError(f"{cache_path}: {name} differs from {what}; retrain")
     if cache.sample_ids != tuple(train_ids):
         raise ValueError(f"{cache_path}: sample_ids differ from the train split")
-    return cache, params
+    return cache, params, load_params(params_path)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -147,7 +147,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for k, key in enumerate(keys):
         for other in (o for o in KINDS if o != kind):
             try:
-                cache, params = _checked_cache(out_root / other, k, train.ids, train_digest)
+                cache, params, _ = _checked_cache(out_root / other, k, train.ids, train_digest)
                 curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
             except (OSError, ValueError):  # absent, damaged or stale: no source
                 continue
@@ -195,24 +195,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
     out_dir = resolve_path(cfg, args.out)
     kinds, base_sha = _base_arm(ensemble_dir)
     train, test, train_digest = _load_splits(cfg)
-    _checked_cache(ensemble_dir / kinds[0], 0, train.ids, train_digest)
-    base = load_params(ensemble_dir / kinds[0] / "arm0.params")
+    _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, train.ids, train_digest)
 
     grid = attack_cells(cfg)
-    failed = []
     for name, spec in grid:
-        cell = out_dir / name
         try:
             aset = craft_set(base, test.signals, test.labels, test.ids, spec, base, base_sha)
-            save_attacked_set(aset, cell)
-        except Exception as exc:  # noqa: BLE001 - report cell and keep going
-            failed.append((cell.name, str(exc)))
+            save_attacked_set(aset, out_dir / name)
+        except Exception as exc:
+            raise RuntimeError(f"attack cell {name} failed: {exc}") from exc
     _write_manifest(out_dir, "attack", cfg,
                     {"ensemble_dir": args.ensemble_dir, "out": args.out})
-    if failed:
-        for name, msg in failed:
-            print(f"attack cell {name} failed: {msg}", file=sys.stderr)
-        return 1
     print(f"crafted {len(grid)} attacked sets in {out_dir}")
     return 0
 
@@ -235,19 +228,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
-    caches = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids, train_digest)[0]
-                     for k in range(len(arm_roles(kind)))] for kind in kinds}
+    arms = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids, train_digest)
+                   for k in range(len(arm_roles(kind)))] for kind in kinds}
 
     rows = []
     correlations = {}
     for kind in kinds:
-        arms = [load_params(ensemble_dir / kind / f"arm{k}.params")
-                for k in range(len(caches[kind]))]
+        caches, _, params = zip(*arms[kind])
         for fam, eps, x, y, mask in cells:
-            m = evaluate_arms(arms, arm_roles(kind), x, y, mask, bank)
+            m = evaluate_arms(params, arm_roles(kind), x, y, mask, bank)
             rows.append([kind, fam, repr(float(eps))]
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
-        correlations[kind] = correlation_report([cache.features for cache in caches[kind]])
+        correlations[kind] = correlation_report([cache.features for cache in caches])
 
     write_csv(report_path,
               ["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"], rows)

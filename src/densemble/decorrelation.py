@@ -217,9 +217,12 @@ def load_cache(path) -> FeatureCache:
     header, arrays = read_container(path)
     if header.get("kind") != "feature-cache":
         raise ValueError(f"{path}: not a feature cache file")
-    return FeatureCache(
-        model_id=header["model_id"],
-        sample_ids=tuple(header["sample_ids"]),
-        features=arrays["features"],
-        provenance={k: header[k] for k in PROVENANCE if k in header},
-    )
+    try:  # a missing field or array, or rows that do not match the ids
+        return FeatureCache(
+            model_id=header["model_id"],
+            sample_ids=tuple(header["sample_ids"]),
+            features=arrays["features"],
+            provenance={k: header[k] for k in PROVENANCE if k in header},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad feature cache: {exc}") from None

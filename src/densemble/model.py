@@ -9,7 +9,7 @@ No batch norm or dropout: inference is deterministic per sample.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -130,8 +130,10 @@ def load_params(path) -> ClassifierParams:
     header, arrays = read_container(path)
     if header.get("kind") != "classifier-params":
         raise ValueError(f"{path}: not a classifier parameter file")
-    arch = header["arch"]
-    try:  # an unknown field, or a non-int size, is refused, never coerced
+    try:  # a missing or unknown field, or a non-int size, is refused, never defaulted or coerced
+        arch = header["arch"]
+        if set(arch) != {f.name for f in fields(ArchConfig)}:
+            raise ValueError(f"fields {sorted(arch)} differ from ArchConfig's")
         arch = ArchConfig(**{**arch, "conv_blocks": tuple(map(tuple, arch["conv_blocks"]))})
         expected = init_params(arch, seed=0).tensors
     except (KeyError, TypeError, ValueError) as exc:

@@ -181,23 +181,19 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 def read_signal(path: str | Path) -> np.ndarray:
     """One finite float per line; a bad value fails as ``path:line``."""
     values = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: unparsable float {line!r}") from None
+    for ln, line in enumerate(Path(path).read_text().split("\n"), 1):
+        if not (line := line.strip()):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: unparsable float {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{ln}: non-finite value {line!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: empty signal")
-    signal = np.array(values, dtype=np.float64)
-    if not np.isfinite(signal).all():  # rare, so re-read the file to name the line
-        lines = enumerate(Path(path).read_text().split("\n"), 1)
-        ln, line = next((ln, s) for ln, s in lines if s.strip() and not math.isfinite(float(s)))
-        raise ValueError(f"{path}:{ln}: non-finite value {line.strip()!r}")
-    return signal
+    return np.array(values, dtype=np.float64)
 
 
 def write_signal(path: str | Path, values: np.ndarray) -> None:

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from densemble import config, ensemble
+from densemble import cli, config, ensemble
+from densemble.attacks import load_attacked_set
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
+from densemble.storage import read_container, write_container
 
 from conftest import KINDS, read_report, run_cli
 
@@ -282,6 +284,45 @@ def test_sibling_whose_params_differ_from_its_cache_is_retrained(workdir, monkey
             assert path.read_bytes() == (tmp_path / "ens" / "dec" / path.name).read_bytes()
 
 
+def _drop_header_field(path, name):
+    header, arrays = read_container(path)
+    del header[name]
+    write_container(path, header, arrays)
+
+
+def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    _drop_header_field(tmp_path / "ens" / "cor" / "arm0.cache", "model_id")
+    calls = _count_arm_trainings(monkeypatch)
+    assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens") == 0
+    assert calls == [0, 1, 2]
+    assert "copied" not in capsys.readouterr().out
+
+
+def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    real = cli.craft_set
+
+    def craft(target, x, y, ids, spec, *rest):
+        if spec.family == "sap":
+            raise RuntimeError("no SAP today")
+        return real(target, x, y, ids, spec, *rest)
+
+    monkeypatch.setattr(cli, "craft_set", craft)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    err = capsys.readouterr().err
+    assert "attack cell sap_eps00 failed: no SAP today" in err and err.count("failed") == 1
+    assert not (tmp_path / "atk" / "run_manifest.json").exists()
+    cells = sorted(p.name for p in (tmp_path / "atk").iterdir())
+    assert cells == [f"pgd_eps{i:02d}" for i in range(len(TINY["attack"]["epsilons"]))]
+    for name in cells:  # every cell crafted before the failure is whole
+        assert load_attacked_set(tmp_path / "atk" / name).spec.family == "pgd"
+
+
 def test_attack_grid_and_zero_epsilon(workdir):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
@@ -423,6 +464,15 @@ def test_evaluate_cache_of_other_sample_order_exits_1(attacked, capsys):
     err = capsys.readouterr().err
     assert str(path) in err and "sample_ids" in err
     assert not (tmp_path / "r" / "correlation.json").exists()
+
+
+def test_evaluate_cache_missing_a_header_field_names_file(attacked, capsys):
+    tmp_path, cfg = attacked
+    path = tmp_path / "ens" / "cor" / "arm1.cache"
+    _drop_header_field(path, "model_id")
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{path}: bad feature cache: 'model_id'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from densemble.decorrelation import (
     total_loss,
 )
 from densemble.model import ArchConfig, forward, init_params
+from densemble.storage import write_container
 
 from oracles import central_diff_grad, normal_equations_residual, rel_err
 
@@ -354,3 +356,15 @@ class TestFeatureCache:
         assert back.sample_ids == cache.sample_ids
         assert np.array_equal(back.features, cache.features)
         assert back.provenance == provenance
+
+    @pytest.mark.parametrize("header, arrays", [
+        ({"model_id": "arm0"}, {"features": np.ones((2, 3))}),
+        ({"model_id": "arm0", "sample_ids": ["a", "b"]}, {}),
+        ({"model_id": "arm0", "sample_ids": ["a"]}, {"features": np.ones((2, 3))}),
+    ])
+    def test_damaged_cache_names_file(self, tmp_path, header, arrays):
+        # a missing field or array, or rows that miss their ids, fail naming the file
+        path = tmp_path / "c.cache"
+        write_container(path, {"kind": "feature-cache", **header}, arrays)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad feature cache")):
+            load_cache(path)

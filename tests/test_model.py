@@ -180,12 +180,13 @@ class TestParamsRoundtrip:
 
     @pytest.mark.parametrize("edit", [{"feature_dim": 16.0}, {"input_length": 32.0},
                                       {"conv_blocks": [[4.0, 5, 2], [8, 3, 2]]},
-                                      {"dropout": 0.5}])
+                                      {"dropout": 0.5}, {"input_length": None}])
     def test_bad_arch_header_names_file(self, tmp_path, edit):
-        # a float size is refused rather than coerced, an unknown field rather than ignored
+        # a float size is refused rather than coerced, an unknown field rather than
+        # ignored, a missing one (an edit to None drops it) rather than defaulted
         path = tmp_path / "m.params"
-        header = {"kind": "classifier-params", "model_id": "arm0",
-                  "arch": {**asdict(TINY), **edit}}
+        arch = {k: v for k, v in {**asdict(TINY), **edit}.items() if v is not None}
+        header = {"kind": "classifier-params", "model_id": "arm0", "arch": arch}
         write_container(path, header, init_params(TINY, 0).tensors)
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad arch in header")):
             load_params(path)

@@ -125,7 +125,7 @@ class TestManifestRoundtrip:
         (tmp_path / "x.txt").write_text("1.0\nnot-a-number\n")
         path = tmp_path / "manifest.csv"
         path.write_text("record_id,label,path\nx,0,x.txt\n")
-        with pytest.raises(ValueError, match="unparsable"):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'x.txt'}:2: unparsable")):
             load_dataset(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -98,17 +98,41 @@ def test_only_storage_writes_files_and_uses_csv():
         "import csv", "open() for writing"}
 
 
-def _load_cache_callers(path: Path):
-    """'<module>.<top-level name>' for every call of `load_cache` in a module."""
+def _callers(path: Path, name: str):
+    """'<module>.<top-level name>' for every call of `name` in a module."""
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "load_cache" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 yield f"{path.stem}.{getattr(top, 'name', '<module>')}"
 
 
 def test_only_checked_cache_reads_caches():
-    # every cache the program reads is checked against its params and the data
+    # every cache and every params file the program reads is checked against
+    # the other and the data
     src = Path(densemble.__file__).parent
-    callers = [c for path in sorted(src.glob("*.py")) for c in _load_cache_callers(path)]
-    assert callers == ["cli._checked_cache"]
+    for name in ("load_cache", "load_params"):
+        callers = [c for path in sorted(src.glob("*.py")) for c in _callers(path, name)]
+        assert callers == ["cli._checked_cache"], name
+
+
+def _swallowing_handlers(path: Path):
+    """'<module>.<top-level name>' for every handler of any exception (bare
+    `except`, `Exception` or `BaseException`) whose body does not end in `raise`."""
+    catch_all = {"Exception", "BaseException"}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if (node.type is None or catch_all & {getattr(t, "id", None) for t in types}) \
+                    and not isinstance(node.body[-1], ast.Raise):
+                yield f"{path.stem}.{getattr(top, 'name', '<module>')}"
+
+
+def test_no_handler_swallows_every_exception():
+    # only the CLI boundary turns any error into an exit code; everywhere else
+    # a catch-all handler re-raises, so no failure can quietly keep going
+    src = Path(densemble.__file__).parent
+    found = [h for path in sorted(src.glob("*.py")) for h in _swallowing_handlers(path)]
+    assert found == ["cli.main"]
