@@ -74,6 +74,7 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
         raise ConfigError("generate-data requires data.source == 'synthetic'")
     out_dir = resolve_path(cfg, args.out)
     ds = synthesize(synth_from_config(cfg), data["seeds"]["synth"])
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
     save_dataset(ds, out_dir)
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
     write_json(out_dir / "split.json", {
@@ -92,31 +93,34 @@ def _write_curve(path: Path, curve: list[dict]) -> None:
               [[row["epoch"]] + [repr(row[c]) for c in columns[1:]] for row in curve])
 
 
-def _arm_keys(kind, train_digest, arch, tcfg, decor, bank) -> list[str]:
+def _arm_keys(cfg: dict, kind: str, train_digest: str) -> list[str]:
     """Each arm's content key: a digest of everything that decides its bytes.
     An unfiltered arm that does not decorrelate is keyed like the same `cor` arm."""
+    arch, tcfg, decor = arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg)
     keys: list[str] = []
     for k, role in enumerate(arm_roles(kind)):
         parts = [train_digest, arch, tcfg, k, role.band]
         if role.band is not None:
-            parts += [bank.cutoff, bank.transition_width]
+            parts += [cfg["bank"]["cutoff"], cfg["bank"]["transition_width"]]
         if role.decorrelates(decor, k):
             parts += [decor, list(keys)]
         keys.append(digest(*parts))
     return keys
 
 
-def _checked_cache(kind_dir: Path, k: int, train_ids: list[str], train_digest: str):
+def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train_digest: str):
     """Arm k's cache, the `arm{k}.params` bytes it was checked against and the
-    parameters they hold: the cache must record their sha256 and have been
-    computed over the current train split."""
+    parameters they hold: the cache must record their sha256, have been
+    computed over the current train split and carry the arm key `key` that
+    `_arm_keys` gives for the current config."""
     params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
     for path in (params_path, cache_path):
         if not path.exists():
             raise FileNotFoundError(f"missing artifact: {path}")
     cache, params = load_cache(cache_path), params_path.read_bytes()
     for name, current, what in (("params_sha256", _sha256(params), params_path.name),
-                                ("train_digest", train_digest, "the current train split")):
+                                ("train_digest", train_digest, "the current train split"),
+                                ("arm_key", key, "the current config")):
         if cache.provenance.get(name) != current:
             raise ValueError(f"{cache_path}: {name} differs from {what}; retrain")
     if cache.sample_ids != tuple(train_ids):
@@ -138,24 +142,23 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 1
 
     train, _, train_digest = _load_splits(cfg)
-    arch, tcfg, decor = arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg)
-    bank = bank_from_config(cfg)
-    keys = _arm_keys(kind, train_digest, arch, tcfg, decor, bank)
+    keys = _arm_keys(cfg, kind, train_digest)
     # An arm already trained under another kind of this --out is copied, not
     # trained again; the own kind is never a source, so --force retrains.
     found = {}
     for k, key in enumerate(keys):
         for other in (o for o in KINDS if o != kind):
             try:
-                cache, params, _ = _checked_cache(out_root / other, k, train.ids, train_digest)
+                cache, params, _ = _checked_cache(out_root / other, k, key, train.ids, train_digest)
                 curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
-            except (OSError, ValueError):  # absent, damaged or stale: no source
+            except (OSError, ValueError):  # absent, damaged, stale or of another config
                 continue
-            if cache.provenance.get("arm_key") == key:
-                found[k] = other, cache, params, curve
-                break
+            found[k] = other, cache, params, curve
+            break
     results = train_ensemble(kind, train.signals, train.labels, train.ids,
-                             arch, tcfg, decor, bank, {k: hit[1] for k, hit in found.items()})
+                             arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg),
+                             bank_from_config(cfg), {k: hit[1] for k, hit in found.items()})
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
     for k, res in enumerate(results):
         if res is None:
             other, cache, params, curve = found[k]
@@ -195,9 +198,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     out_dir = resolve_path(cfg, args.out)
     kinds, base_sha = _base_arm(ensemble_dir)
     train, test, train_digest = _load_splits(cfg)
-    _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, train.ids, train_digest)
+    key = _arm_keys(cfg, kinds[0], train_digest)[0]
+    _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, key, train.ids, train_digest)
 
     grid = attack_cells(cfg)
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
     for name, spec in grid:
         try:
             aset = craft_set(base, test.signals, test.labels, test.ids, spec, base, base_sha)
@@ -228,8 +233,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
-    arms = {kind: [_checked_cache(ensemble_dir / kind, k, train.ids, train_digest)
-                   for k in range(len(arm_roles(kind)))] for kind in kinds}
+    arms = {kind: [_checked_cache(ensemble_dir / kind, k, key, train.ids, train_digest)
+                   for k, key in enumerate(_arm_keys(cfg, kind, train_digest))] for kind in kinds}
 
     rows = []
     correlations = {}
@@ -241,6 +246,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
         correlations[kind] = correlation_report([cache.features for cache in caches])
 
+    (report_path.parent / "run_manifest.json").unlink(missing_ok=True)
     write_csv(report_path,
               ["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"], rows)
     write_json(report_path.parent / "correlation.json", correlations)

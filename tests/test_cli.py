@@ -301,10 +301,7 @@ def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch,
     assert "copied" not in capsys.readouterr().out
 
 
-def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch, capsys):
-    tmp_path, cfg = workdir
-    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
-    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+def _fail_sap_cells(monkeypatch):
     real = cli.craft_set
 
     def craft(target, x, y, ids, spec, *rest):
@@ -313,6 +310,13 @@ def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch,
         return real(target, x, y, ids, spec, *rest)
 
     monkeypatch.setattr(cli, "craft_set", craft)
+
+
+def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    _fail_sap_cells(monkeypatch)
     assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
     err = capsys.readouterr().err
     assert "attack cell sap_eps00 failed: no SAP today" in err and err.count("failed") == 1
@@ -653,3 +657,96 @@ def test_evaluate_refuses_attacked_sets_of_a_retrained_base_arm(attacked, capsys
     assert f"{manifest}: made with another attack grid, test split or arm0.params" in (
         capsys.readouterr().err)
     assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def _other_config(tmp_path, key, value):
+    # the test config with the value at one dotted key changed
+    other = json.loads((tmp_path / "config.json").read_text())
+    *sections, name = key.split(".")
+    section = other
+    for s in sections:
+        section = section.setdefault(s, {})
+    section[name] = value
+    (tmp_path / "other_config.json").write_text(json.dumps(other))
+    return str(tmp_path / "other_config.json")
+
+
+@pytest.mark.parametrize("key,value,cache", [
+    ("bank.cutoff", 0.3, "fcor/arm1.cache"),
+    ("decor.weight", 0.5, "dec/arm1.cache"),
+])
+def test_evaluate_refuses_arms_of_another_config(workdir, capsys, key, value, cache):
+    # an fcor arm scored on other bands, or a dec arm decorrelated at another
+    # weight, would silently change the ensemble's counts
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    for kind in ("cor", "dec", "fcor"):
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    other_cfg = _other_config(tmp_path, key, value)
+    assert run_cli("evaluate", "--config", other_cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert (f"{tmp_path / 'ens' / cache}: arm_key differs from the current config; retrain"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
+
+
+def test_attack_refuses_base_arm_of_another_config(workdir, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    other_cfg = _other_config(tmp_path, "train.seeds.init", 99)
+    assert run_cli("attack", "--config", other_cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    cache = tmp_path / "ens" / "cor" / "arm0.cache"
+    assert f"{cache}: arm_key differs" in capsys.readouterr().err
+    assert not (tmp_path / "atk").exists()
+
+
+def test_failed_train_force_leaves_no_manifest_and_no_mix(workdir, monkeypatch, capsys):
+    # retraining under another init seed fails writing arm 2, so the old arm 2
+    # stays beside the new arms 0-1: the directory must not pass as one run
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    other_cfg = _other_config(tmp_path, "train.seeds.init", 99)
+    real = cli.save_params
+
+    def save(params, path, model_id):
+        if model_id == "arm2":
+            raise OSError("disk full")
+        real(params, path, model_id=model_id)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "save_params", save)
+        assert run_cli("train", "--config", other_cfg, "--kind", "cor", "--out", "ens",
+                       "--force") == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not (tmp_path / "ens" / "cor" / "run_manifest.json").exists()
+    assert run_cli("attack", "--config", other_cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    assert run_cli("evaluate", "--config", other_cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    cache = tmp_path / "ens" / "cor" / "arm2.cache"
+    assert f"{cache}: arm_key differs" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_failed_rerun_removes_the_old_manifest(attacked, monkeypatch, capsys):
+    # a manifest means the command last succeeded in its directory
+    tmp_path, cfg = attacked
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 0
+    for d in ("atk", "r"):
+        assert (tmp_path / d / "run_manifest.json").exists()
+
+    def fail(path, obj):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "write_json", fail)
+        assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                       "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert not (tmp_path / "r" / "run_manifest.json").exists()
+    _fail_sap_cells(monkeypatch)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    assert "attack cell sap_eps00 failed: no SAP today" in capsys.readouterr().err
+    assert not (tmp_path / "atk" / "run_manifest.json").exists()

@@ -116,6 +116,24 @@ def test_only_checked_cache_reads_caches():
         assert callers == ["cli._checked_cache"], name
 
 
+def _attribute_readers(path: Path, attr: str):
+    """'<module>.<top-level name>' for every read of the attribute `attr` in a module."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == attr \
+                    and isinstance(node.ctx, ast.Load):
+                yield f"{path.stem}.{getattr(top, 'name', '<module>')}"
+
+
+def test_only_checked_cache_judges_provenance():
+    # one rule decides whether an arm belongs to the run: no command compares
+    # a cache's provenance on its own, and save_cache only writes it
+    src = Path(densemble.__file__).parent
+    readers = [r for path in sorted(src.glob("*.py"))
+               for r in _attribute_readers(path, "provenance")]
+    assert readers == ["cli._checked_cache", "decorrelation.save_cache"]
+
+
 def _swallowing_handlers(path: Path):
     """'<module>.<top-level name>' for every handler of any exception (bare
     `except`, `Exception` or `BaseException`) whose body does not end in `raise`."""
