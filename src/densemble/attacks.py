@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ClassifierParams, forward, predict
-from .signals import read_signal, write_signal
+from .signals import check_record_id, read_signal, write_signal
 from .storage import read_csv, read_json, write_csv, write_json
 
 __all__ = [
@@ -231,8 +231,9 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     manifest = read_json(in_dir / "attack_manifest.json")
     if missing := [k for k in MANIFEST_KEYS if k not in manifest]:
         raise ValueError(f"{in_dir / 'attack_manifest.json'}: missing key {missing[0]!r}")
-    ids, labels, mask = [], [], []
+    ids, labels, mask, seen = [], [], [], set()
     for ln, (rid, label, masked, _delta) in read_csv(index, INDEX_HEADER):
+        check_record_id(rid, seen, f"{index}:{ln}")
         try:
             labels.append(int(label))
             mask.append(bool(int(masked)))

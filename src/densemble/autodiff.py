@@ -23,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "Tensor",
     "add",
-    "sub",
     "scale",
     "relu",
     "log",
@@ -133,18 +132,6 @@ def add(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.shape))
-
-    return Tensor(a.data - b.data, parents=(a, b), backward_fn=bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -327,7 +314,6 @@ def least_squares_residual(zr: Tensor, zt: Tensor) -> tuple[Tensor, Tensor]:
     coef = vt[keep].T @ (ut_zt[keep] / s[keep, None])  # (p+1, q)
     resid = zt.data - zb @ coef
     ss_res_val = float(np.sum(resid * resid))
-    ss_tot_val = float(np.sum(zt.data * zt.data))
 
     def bw_res(g: np.ndarray) -> None:
         gs = float(g)
@@ -336,13 +322,7 @@ def least_squares_residual(zr: Tensor, zt: Tensor) -> tuple[Tensor, Tensor]:
         if zr.requires_grad:
             zr._accumulate(-2.0 * gs * (resid @ coef.T)[:, :p])
 
-    def bw_tot(g: np.ndarray) -> None:
-        if zt.requires_grad:
-            zt._accumulate(2.0 * float(g) * zt.data)
-
-    ss_res = Tensor(ss_res_val, parents=(zr, zt), backward_fn=bw_res)
-    ss_total = Tensor(ss_tot_val, parents=(zt,), backward_fn=bw_tot)
-    return ss_res, ss_total
+    return Tensor(ss_res_val, parents=(zr, zt), backward_fn=bw_res), l2norm_sq(zt)
 
 
 def fft(x) -> np.ndarray:

@@ -229,7 +229,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
         if (aset.spec != spec or aset.ids != test.ids or aset.target_params_sha256 != base_sha
-                or not np.array_equal(aset.natural, test.signals)):
+                or not np.array_equal(aset.natural, test.signals)
+                or not np.array_equal(aset.labels, test.labels)):
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))

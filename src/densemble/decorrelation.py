@@ -75,7 +75,8 @@ def decor_loss(zr: Tensor, zt: Tensor, stab_eps: float) -> Tensor:
     """log(SS_total + eps) - log(SS_res + eps); ~0 when zr explains nothing
     of zt, large when the fit is tight."""
     ss_res, ss_tot = ad.least_squares_residual(zr, zt)
-    return ad.sub(ad.log(ad.add(ss_tot, stab_eps)), ad.log(ad.add(ss_res, stab_eps)))
+    log_tot, log_res = ad.log(ad.add(ss_tot, stab_eps)), ad.log(ad.add(ss_res, stab_eps))
+    return ad.add(log_tot, ad.scale(log_res, -1.0))
 
 
 def draw_projection(d: int, r: int, seed) -> np.ndarray:

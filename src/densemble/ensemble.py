@@ -29,7 +29,7 @@ from .decorrelation import (
     total_loss,
 )
 from .fourier import RingFilterBank, apply_band
-from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors
+from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors, predict
 
 __all__ = [
     "KINDS",
@@ -296,12 +296,8 @@ def evaluate_arms(
         mask = np.ones(len(y), dtype=bool)
     if not np.any(mask):
         raise ValueError("evaluation mask is empty")
-    correct = np.stack(
-        [
-            np.argmax(forward(p, _arm_view(x, role, bank))[0].data, axis=1) == y
-            for p, role in zip(arms, roles)
-        ]
-    )
+    correct = np.stack([predict(p, _arm_view(x, role, bank)) == y
+                        for p, role in zip(arms, roles)])
     metrics = metrics_from_correctness(correct[:, mask])
     metrics["n_masked"] = int(mask.sum())
     return metrics

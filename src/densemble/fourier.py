@@ -21,8 +21,6 @@ __all__ = ["RingFilterBank", "design_bank", "apply_band", "band_energy"]
 @dataclass(frozen=True)
 class RingFilterBank:
     length: int
-    cutoff: float
-    transition_width: float
     responses: tuple[np.ndarray, ...] = field(repr=False)
 
 
@@ -56,7 +54,7 @@ def design_bank(length: int, cutoff: float, transition_width: float) -> RingFilt
     high = 1.0 - low
     for resp in (low, high):
         resp.flags.writeable = False
-    return RingFilterBank(length, cutoff, transition_width, (low, high))
+    return RingFilterBank(length, (low, high))
 
 
 def _filter_values(bank: RingFilterBank, j: int, values: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ __all__ = [
     "SynthConfig",
     "synthesize",
     "load_dataset",
+    "check_record_id",
     "save_dataset",
     "read_signal",
     "write_signal",
@@ -158,15 +159,12 @@ MANIFEST_HEADER = ["record_id", "label", "path"]
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load records listed in a manifest CSV; labels become dense indices
-    in first-appearance order.  A record id names the record's file in every
-    attacked set, so it must be a unique plain file name."""
+    in first-appearance order."""
     base = Path(manifest_path).parent
     label_names: list[str] = []
     ids, labels, signals, seen = [], [], [], set()
     for ln, (rid, label_str, rel) in read_csv(manifest_path, MANIFEST_HEADER):
-        if rid in ("", ".", "..") or "/" in rid or "\\" in rid or rid in seen:
-            raise ValueError(f"{manifest_path}:{ln}: record_id {rid!r} must be a unique file name")
-        seen.add(rid)
+        check_record_id(rid, seen, f"{manifest_path}:{ln}")
         if label_str not in label_names:
             label_names.append(label_str)
         path = base / rel
@@ -176,6 +174,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         labels.append(label_names.index(label_str))
         signals.append(read_signal(path))
     return Dataset(ids, np.array(labels, dtype=np.int64), signals, label_names)
+
+
+def check_record_id(rid: str, seen: set[str], where: str) -> None:
+    """Add `rid` to `seen`; it names a file in every attacked set, so it must be a new file name."""
+    if rid in ("", ".", "..") or "/" in rid or "\\" in rid or rid in seen:
+        raise ValueError(f"{where}: record_id {rid!r} must be a unique file name")
+    seen.add(rid)
 
 
 def read_signal(path: str | Path) -> np.ndarray:

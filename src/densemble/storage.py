@@ -72,20 +72,25 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt container header: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: bad container header: not a JSON object")
     if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format version {meta.get('format_version')!r}"
-        )
+        raise ValueError(f"{path}: unsupported format version {meta.get('format_version')!r}")
     payload = blob[8 + hlen :]
     arrays: dict[str, np.ndarray] = {}
-    for entry in meta["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise ValueError(f"{path}: truncated container payload")
-        arr = np.frombuffer(
-            payload[start : start + nbytes], dtype=np.dtype(entry["dtype"])
-        ).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.copy()
+    try:  # a missing field, a negative span, a bad dtype or a shape the bytes do not fill
+        for entry in meta["arrays"]:
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if min(start, nbytes) < 0:
+                raise ValueError(f"array {entry['name']!r} has a negative offset or size")
+            if start + nbytes > len(payload):
+                raise EOFError
+            arr = np.frombuffer(payload[start : start + nbytes], dtype=np.dtype(entry["dtype"]))
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    except EOFError:
+        raise ValueError(f"{path}: truncated container payload") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad container header: {exc}") from None
     header = {k: v for k, v in meta.items() if k != "arrays"}
     return header, arrays
 

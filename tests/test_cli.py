@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from densemble import cli, config, ensemble
 from densemble.attacks import load_attacked_set
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
-from densemble.storage import read_container, write_container
 
 from conftest import KINDS, read_report, run_cli
 
@@ -285,20 +285,29 @@ def test_sibling_whose_params_differ_from_its_cache_is_retrained(workdir, monkey
 
 
 def _drop_header_field(path, name):
-    header, arrays = read_container(path)
+    # rewritten by hand, since write_container always writes the `arrays` index
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack(">I", blob[4:8])
+    header = json.loads(blob[8 : 8 + hlen])
     del header[name]
-    write_container(path, header, arrays)
+    hjson = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack(">I", len(hjson)) + hjson + blob[8 + hlen :])
 
 
 def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch, capsys):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
     assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
-    _drop_header_field(tmp_path / "ens" / "cor" / "arm0.cache", "model_id")
+    cache = tmp_path / "ens" / "cor" / "arm0.cache"
+    good = cache.read_bytes()
     calls = _count_arm_trainings(monkeypatch)
-    assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens") == 0
-    assert calls == [0, 1, 2]
-    assert "copied" not in capsys.readouterr().out
+    for field in ("model_id", "arrays"):  # a cache's field, then the container's own index
+        cache.write_bytes(good)
+        _drop_header_field(cache, field)
+        calls.clear()
+        assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens", "--force") == 0
+        assert calls == [0, 1, 2]
+        assert "copied" not in capsys.readouterr().out
 
 
 def _fail_sap_cells(monkeypatch):
@@ -512,10 +521,31 @@ def test_evaluate_refuses_attacked_set_of_another_split(attacked, capsys):
     tmp_path, cfg = attacked
     index = tmp_path / "atk" / "sap_eps01" / "index.csv"
     header, *rows = index.read_text().splitlines()
-    index.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    rid, label, rest = rows[0].split(",", 2)
+    flipped = ",".join([rid, str(1 - int(label)), rest])  # TINY has two classes
+    for changed in (list(reversed(rows)), [flipped, *rows[1:]]):  # the order, then one label
+        index.write_text("\n".join([header, *changed]) + "\n")
+        assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                       "--attacks", "atk", "--out", "r/report.csv") == 1
+        assert str(index.parent / "attack_manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("bad", ["path", "repeat"])
+def test_evaluate_refuses_bad_record_id_in_attacked_set(attacked, capsys, bad):
+    # an attacked set's ids follow the dataset's rule, checked before any of
+    # the cell's signal files is opened
+    tmp_path, cfg = attacked
+    index = tmp_path / "atk" / "pgd_eps00" / "index.csv"
+    lines = index.read_text().splitlines(keepends=True)
+    bad_id = "../../outside" if bad == "path" else lines[1].split(",")[0]
+    lines[2] = bad_id + lines[2][lines[2].index(","):]  # line 3: the second record
+    index.write_text("".join(lines))
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
-    assert str(index.parent / "attack_manifest.json") in capsys.readouterr().err
+    assert f"{index}:3: record_id {bad_id!r} must be a unique file name" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_index_row_of_wrong_width_names_line(attacked, capsys):

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestReaders:
         path.write_text('{"a": 1,')
         with pytest.raises(ValueError, match=re.escape(f"{path}: invalid JSON: ")):
             storage.read_json(path)
+
+    @pytest.mark.parametrize("meta", [
+        [1, 2],  # not an object
+        {"format_version": 1},  # no array index
+        {"format_version": 1, "arrays": [{"name": "w", "dtype": "<f8", "shape": [2],
+                                          "offset": 0}]},  # an entry without nbytes
+        # a negative offset that would otherwise slice bytes 8..24 of the payload
+        {"format_version": 1, "arrays": [{"name": "w", "dtype": "<f8", "shape": [2],
+                                          "offset": -24, "nbytes": 16}]},
+        {"format_version": 1, "arrays": [{"name": "w", "dtype": "zz", "shape": [2],
+                                          "offset": 0, "nbytes": 16}]},
+        {"format_version": 1, "arrays": [{"name": "w", "dtype": "<f8", "shape": [3],
+                                          "offset": 0, "nbytes": 16}]},
+    ], ids=["list", "no-arrays", "no-nbytes", "negative-offset", "bad-dtype", "bad-shape"])
+    def test_bad_container_header_names_file(self, tmp_path, meta):
+        # written by hand: write_container always writes a well-formed index
+        path = tmp_path / "c.params"
+        hjson = json.dumps(meta).encode()
+        path.write_bytes(storage.MAGIC + struct.pack(">I", len(hjson)) + hjson + bytes(32))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad container header: ")):
+            storage.read_container(path)
 
 
 def _artifact_writes(tree: ast.AST):
@@ -132,6 +154,55 @@ def test_only_checked_cache_judges_provenance():
     readers = [r for path in sorted(src.glob("*.py"))
                for r in _attribute_readers(path, "provenance")]
     assert readers == ["cli._checked_cache", "decorrelation.save_cache"]
+
+
+def _listed_definitions(path: Path):
+    """'<module>.<name>' for every function or class a module lists in `__all__`."""
+    tree = ast.parse(path.read_text())
+    listed = [name for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+              for name in ast.literal_eval(node.value)]
+    return {f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in listed}
+
+
+def _package_references(path: Path, module: str):
+    """'<module>.<name>' for every use of a densemble module's name in a file:
+    a bare name (its own or imported from the module) or an attribute of the
+    imported module."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, {}  # local name -> densemble module, -> '<module>.<name>'
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("densemble")):
+            source = (node.module or "").removeprefix("densemble").lstrip(".")
+            for alias in node.names:
+                if source:
+                    names[alias.asname or alias.name] = f"{source}.{alias.name}"
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield names.get(node.id, f"{module}.{node.id}")
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            yield f"{modules[node.value.id]}.{node.attr}"
+
+
+# Public names only the acceptance criteria call: they check the FFT helpers
+# and the filter bank's Parseval identity directly.
+ACCEPTANCE_ONLY = {"autodiff.fft", "autodiff.ifft", "fourier.band_energy"}
+
+
+def test_every_public_name_has_a_caller():
+    # a function or class exported by a module is used somewhere in the
+    # program, so no second copy of a computation outlives its last caller
+    src = Path(densemble.__file__).parent
+    listed = set().union(*(_listed_definitions(path) for path in src.glob("*.py")))
+    used = {r for path in src.glob("*.py") for r in _package_references(path, path.stem)}
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    used |= {f"{m}.{f}" for m, f in re.findall(r'"densemble\.(\w+):(\w+)"', pyproject)}  # scripts
+    assert sorted(listed - used) == sorted(ACCEPTANCE_ONLY)
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    assert ACCEPTANCE_ONLY <= set(_package_references(acceptance, "test_acceptance"))
 
 
 def _swallowing_handlers(path: Path):
