@@ -91,22 +91,6 @@ def gaussian_kernel(s: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _loss_and_grad(
-    params: ClassifierParams, leaf: Tensor, x_input: Tensor, y: np.ndarray, step: int
-) -> tuple[float, np.ndarray]:
-    logits, _ = forward(params, x_input)
-    loss = ad.softmax_cross_entropy(logits, y)
-    loss.backward()
-    g = leaf.grad
-    if g is None or not np.all(np.isfinite(g)):
-        gmax = None if g is None else float(np.max(np.abs(g)))
-        raise RuntimeError(
-            f"non-finite attack gradient at step {step} (loss={loss.item()}, "
-            f"max|grad|={gmax})"
-        )
-    return loss.item(), g
-
-
 def _ascend(params: ClassifierParams, x, y, spec: AttackSpec, render) -> np.ndarray:
     """Signed-gradient ascent on a latent clipped to the epsilon ball after
     every step; the model sees x + render(latent).  Iterating on the latent
@@ -115,7 +99,14 @@ def _ascend(params: ClassifierParams, x, y, spec: AttackSpec, render) -> np.ndar
     latent = np.zeros_like(x)
     for step in range(spec.steps):
         leaf = Tensor(latent, requires_grad=True)
-        _, g = _loss_and_grad(params, leaf, ad.add(Tensor(x), render(leaf)), y, step)
+        logits, _ = forward(params, ad.add(Tensor(x), render(leaf)))
+        loss = ad.softmax_cross_entropy(logits, y)
+        loss.backward()
+        g = leaf.grad
+        if g is None or not np.all(np.isfinite(g)):
+            gmax = None if g is None else float(np.max(np.abs(g)))
+            raise RuntimeError(f"non-finite attack gradient at step {step} "
+                               f"(loss={loss.item()}, max|grad|={gmax})")
         latent = np.clip(latent + spec.alpha * np.sign(g), -spec.eps, spec.eps)
     return x + render(Tensor(latent)).data
 
@@ -171,9 +162,6 @@ class AttackedSet:
     spec: AttackSpec
     target_params_sha256: str  # of the target's arm0.params bytes
 
-    def linf_deltas(self) -> np.ndarray:
-        return np.max(np.abs(self.perturbed - self.natural), axis=1)
-
 
 def craft_set(
     target: ClassifierParams,
@@ -216,7 +204,7 @@ def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
         "target_params_sha256": aset.target_params_sha256,
     }
     write_json(out_dir / "attack_manifest.json", manifest)
-    deltas = aset.linf_deltas()
+    deltas = np.max(np.abs(aset.perturbed - aset.natural), axis=1)
     write_csv(out_dir / "index.csv", INDEX_HEADER, [
         [rid, int(aset.labels[i]), int(aset.mask[i]), repr(float(deltas[i]))]
         for i, rid in enumerate(aset.ids)
@@ -229,6 +217,8 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     if not index.exists():
         raise FileNotFoundError(f"missing artifact: {index}")
     manifest = read_json(in_dir / "attack_manifest.json")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{in_dir / 'attack_manifest.json'}: not a JSON object")
     if missing := [k for k in MANIFEST_KEYS if k not in manifest]:
         raise ValueError(f"{in_dir / 'attack_manifest.json'}: missing key {missing[0]!r}")
     ids, labels, mask, seen = [], [], [], set()

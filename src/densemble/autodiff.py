@@ -222,7 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, parents=(a, b), backward_fn=bw)
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
     """Batched 1-D cross-correlation: x (N,C,L) with kernels w (C',C,k)."""
     if x.ndim != 3 or w.ndim != 3:
         raise ValueError("conv1d expects x (N,C,L) and w (C',C,k)")

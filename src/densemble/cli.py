@@ -61,6 +61,9 @@ def _load_splits(cfg: dict):
     else:
         manifest = resolve_path(cfg, data["dir"]) / "manifest.csv"
     ds = load_dataset(manifest)
+    if (labels := len(np.unique(ds.labels))) != data["num_classes"]:
+        raise ValueError(f"{manifest}: {labels} labels, but data.num_classes is "
+                         f"{data['num_classes']}")
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
     train, stats = preprocess(train_raw, data["length"])
     test, _ = preprocess(test_raw, data["length"], stats=stats)
@@ -87,8 +90,7 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
 
 
 def _write_curve(path: Path, curve: list[dict]) -> None:
-    has_cor = any("cor" in row for row in curve)
-    columns = ["epoch", "ce"] + (["cor"] if has_cor else [])
+    columns = list(curve[0])
     write_csv(path, columns,
               [[row["epoch"]] + [repr(row[c]) for c in columns[1:]] for row in curve])
 
@@ -225,7 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, train_digest = _load_splits(cfg)
 
     # (attack, epsilon, inputs, labels, mask); the natural test set first
-    cells = [("none", 0.0, test.signals, test.labels, None)]
+    cells = [("none", 0.0, test.signals, test.labels, np.ones(len(test), dtype=bool))]
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
         if (aset.spec != spec or aset.ids != test.ids or aset.target_params_sha256 != base_sha

@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "load_config",
     "resolve_config",
-    "resolve_root",
     "arch_from_config",
     "synth_from_config",
     "train_from_config",
@@ -175,6 +174,8 @@ def load_config(path: str | Path) -> dict:
         user = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not isinstance(user, dict):
@@ -182,14 +183,10 @@ def load_config(path: str | Path) -> dict:
     return resolve_config(user)
 
 
-def resolve_root(cfg: dict) -> Path:
-    """Output root: environment override, then config, then cwd."""
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, cfg["output"]["root"]))
-
-
 def resolve_path(cfg: dict, p: str | Path) -> Path:
-    p = Path(p)
-    return p if p.is_absolute() else resolve_root(cfg) / p
+    """`p` under the output root (the environment override, else the config's);
+    an absolute `p` stands as it is."""
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, cfg["output"]["root"])) / p
 
 
 def arch_from_config(cfg: dict) -> ArchConfig:

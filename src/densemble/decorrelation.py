@@ -79,11 +79,10 @@ def decor_loss(zr: Tensor, zt: Tensor, stab_eps: float) -> Tensor:
     return ad.add(log_tot, ad.scale(log_res, -1.0))
 
 
-def draw_projection(d: int, r: int, seed) -> np.ndarray:
-    """(d, r) matrix of i.i.d. N(0, 1/sqrt(d)) entries."""
+def draw_projection(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """(d, r) matrix of i.i.d. N(0, 1/sqrt(d)) entries drawn from `rng`."""
     if r > d:
         raise ValueError(f"projection dim {r} exceeds feature dim {d}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / np.sqrt(d), (d, r))
 
 

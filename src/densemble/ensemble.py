@@ -194,14 +194,13 @@ def train_arm(
     """Train one arm on its own (possibly band-filtered) view of the data.
 
     `train_x` is the unfiltered preprocessed training matrix; the arm's
-    band is applied here once.  Returns the trained parameters, the
-    arm's feature cache over the full training set, and the per-epoch
-    loss curve.
+    band is applied here once, and the penalty runs against every cache in
+    `caches`.  Returns the trained parameters, the arm's feature cache over
+    the full training set, and the per-epoch loss curve.
     """
     n = train_x.shape[0]
     view = _arm_view(train_x, role, bank)
-    active = role.decorrelates(decor_cfg, len(caches))
-    if active:
+    if caches:
         _check_decor_batches(n, arch, cfg, decor_cfg)
 
     params = init_params(arch, np.random.SeedSequence([cfg.init_seed, k]))
@@ -216,10 +215,8 @@ def train_arm(
             pt = make_param_tensors(params, requires_grad=True)
             logits, feats = forward(params, view[bidx], param_tensors=pt)
             step_seed = np.random.SeedSequence([decor_cfg.seed, k, step])
-            loss, ce, cor = total_loss(
-                logits, train_y[bidx], feats, caches if active else [], bidx, decor_cfg,
-                step_seed,
-            )
+            loss, ce, cor = total_loss(logits, train_y[bidx], feats, caches, bidx, decor_cfg,
+                                       step_seed)
             if cor is not None:
                 cor_vals.append(cor.item())
             loss.backward()
@@ -228,7 +225,7 @@ def train_arm(
             ce_vals.append(ce.item())
             step += 1
         row = {"epoch": epoch, "ce": float(np.mean(ce_vals))}
-        if active:
+        if cor_vals:
             row["cor"] = float(np.mean(cor_vals))
         curve.append(row)
 
@@ -260,7 +257,7 @@ def train_ensemble(
         for k, role in enumerate(roles):
             res = None if k in known else train_arm(
                 k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
-                list(caches) if role.decorrelate else [], bank,
+                list(caches) if role.decorrelates(decor_cfg, k) else [], bank,
             )
             results.append(res)
             caches.append(known[k] if res is None else res.cache)
@@ -286,14 +283,12 @@ def evaluate_arms(
     roles: Sequence[ArmRole],
     x: np.ndarray,
     y: np.ndarray,
-    mask: np.ndarray | None,
+    mask: np.ndarray,
     bank: RingFilterBank,
 ) -> dict[str, float]:
     """Per-sample correctness over all arms (each on its own filtered
-    view), reduced to average and P(>=x) metrics.  `mask` restricts the
+    view), reduced to average and P(>=x) metrics.  `mask` selects the
     scored samples (attacked sets score only base-correct naturals)."""
-    if mask is None:
-        mask = np.ones(len(y), dtype=bool)
     if not np.any(mask):
         raise ValueError("evaluation mask is empty")
     correct = np.stack([predict(p, _arm_view(x, role, bank)) == y

@@ -36,12 +36,11 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Records as columns; `labels` index `label_names`."""
+    """Records as columns; `labels` are dense class indices."""
 
     ids: list[str]
     labels: np.ndarray
     signals: list[np.ndarray] | np.ndarray
-    label_names: list[str]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -49,7 +48,7 @@ class Dataset:
     def subset(self, indices: list[int]) -> Dataset:
         """The records at `indices`, in that order; the signals as a list."""
         return Dataset([self.ids[i] for i in indices], self.labels[indices],
-                       [self.signals[i] for i in indices], list(self.label_names))
+                       [self.signals[i] for i in indices])
 
 
 # Longest record, in samples.  The filter bank and every batch grow with
@@ -151,7 +150,7 @@ def synthesize(cfg: SynthConfig, seed: int) -> Dataset:
             ids.append(f"r{label}_{i:04d}")
             signals.append(_synth_signal(label, cfg.length, cfg.sample_rate_hz, rng))
     labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.records_per_class)
-    return Dataset(ids, labels, signals, [str(c) for c in range(cfg.num_classes)])
+    return Dataset(ids, labels, signals)
 
 
 MANIFEST_HEADER = ["record_id", "label", "path"]
@@ -173,7 +172,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         ids.append(rid)
         labels.append(label_names.index(label_str))
         signals.append(read_signal(path))
-    return Dataset(ids, np.array(labels, dtype=np.int64), signals, label_names)
+    return Dataset(ids, np.array(labels, dtype=np.int64), signals)
 
 
 def check_record_id(rid: str, seen: set[str], where: str) -> None:
@@ -213,7 +212,7 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     for rid, label, signal in zip(ds.ids, ds.labels, ds.signals):
         rel = f"signals/{rid}.txt"
         write_signal(out_dir / rel, signal)
-        rows.append([rid, ds.label_names[label], rel])
+        rows.append([rid, str(label), rel])
     manifest = out_dir / "manifest.csv"
     write_csv(manifest, MANIFEST_HEADER, rows)
     return manifest
@@ -246,7 +245,7 @@ def preprocess(
     if stats is None:
         stats = float(fitted.mean()), max(float(fitted.std()), 1e-8)
     mean, std = stats
-    return Dataset(list(ds.ids), ds.labels, (fitted - mean) / std, list(ds.label_names)), stats
+    return Dataset(list(ds.ids), ds.labels, (fitted - mean) / std), stats
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -48,11 +48,11 @@ class TestMatmul:
 class TestConv1d:
     def test_unit_impulse_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 1, 9))
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(np.ones((1, 1, 1))))
+        out = ad.conv1d(ad.Tensor(x), ad.Tensor(np.ones((1, 1, 1))), stride=1, pad=0)
         assert np.allclose(out.data, x)
 
     def test_hand_arithmetic(self):
-        out = ad.conv1d(ad.Tensor([[[1.0, 2.0, 3.0]]]), ad.Tensor([[[1.0, 1.0]]]))
+        out = ad.conv1d(ad.Tensor([[[1.0, 2.0, 3.0]]]), ad.Tensor([[[1.0, 1.0]]]), stride=1, pad=0)
         assert np.array_equal(out.data, [[[3.0, 5.0]]])
 
     def test_output_length(self):
@@ -110,7 +110,8 @@ class TestConv1d:
 
     def test_kernel_too_long(self):
         with pytest.raises(ValueError):
-            ad.conv1d(ad.Tensor(np.zeros((1, 1, 4))), ad.Tensor(np.zeros((1, 1, 7))), pad=1)
+            ad.conv1d(ad.Tensor(np.zeros((1, 1, 4))), ad.Tensor(np.zeros((1, 1, 7))), stride=1,
+                      pad=1)
 
 
 class TestScalarOps:

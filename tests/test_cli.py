@@ -153,9 +153,13 @@ def test_owner_error_without_field_names_its_section(monkeypatch):
         config.resolve_config({})
 
 
-def test_missing_config_exits_2(tmp_path):
+def test_missing_config_exits_2(tmp_path, capsys):
     assert run_cli("generate-data", "--config", str(tmp_path / "nope.json"),
                    "--out", "x") == 2
+    # a config that exists but cannot be read is a config error too
+    (tmp_path / "cfgdir").mkdir()
+    assert run_cli("generate-data", "--config", str(tmp_path / "cfgdir"), "--out", "x") == 2
+    assert f"config error: {tmp_path / 'cfgdir'}: cannot read config: " in capsys.readouterr().err
 
 
 def test_train_writes_artifacts_and_curves(workdir):
@@ -403,6 +407,39 @@ def test_bad_record_id_fails_every_command_naming_manifest_line(workdir, capsys,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("labels", [["0"], ["0", "1", "2"]], ids=["fewer", "more"])
+def test_train_refuses_manifest_of_another_label_count(workdir, capsys, labels):
+    # the head has data.num_classes outputs, so a manifest with another label
+    # count is refused before any arm trains
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    manifest = tmp_path / "data" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    for i, line in enumerate(lines[1:]):
+        rid, _, path = line.split(",")
+        lines[i + 1] = f"{rid},{labels[i % len(labels)]},{path}"
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 1
+    assert (f"{manifest}: {len(labels)} labels, but data.num_classes is 2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "ens").exists()
+
+
+def test_attack_and_evaluate_refuse_another_num_classes(attacked, capsys):
+    # data of two classes read under data.num_classes 3 would mix two runs
+    tmp_path, cfg = attacked
+    other_cfg = _other_config(tmp_path, "data.num_classes", 3)
+    message = f"{tmp_path / 'data' / 'manifest.csv'}: 2 labels, but data.num_classes is 3"
+    assert run_cli("attack", "--config", other_cfg, "--ensemble-dir", "ens",
+                   "--out", "atk2") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "atk2").exists()
+    assert run_cli("evaluate", "--config", other_cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_rows_and_determinism(workdir):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
@@ -577,6 +614,17 @@ def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsy
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert f"{manifest}: missing key 'steps'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["null", "5", "true", "[]"])
+def test_evaluate_attack_manifest_not_object_names_file(attacked, capsys, content):
+    tmp_path, cfg = attacked
+    manifest = tmp_path / "atk" / "pgd_eps01" / "attack_manifest.json"
+    manifest.write_text(content)
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{manifest}: not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("bank", [[], [5]])

@@ -121,21 +121,23 @@ class TestDecorLoss:
 
 class TestDrawProjection:
     def test_shape(self):
-        assert draw_projection(64, 50, 1).shape == (64, 50)
+        assert draw_projection(64, 50, np.random.default_rng(1)).shape == (64, 50)
 
     def test_entry_std(self):
-        r = draw_projection(64, 50, 2)
-        big = np.concatenate([draw_projection(64, 50, s).ravel() for s in range(320)])
+        r = draw_projection(64, 50, np.random.default_rng(2))
+        big = np.concatenate([draw_projection(64, 50, np.random.default_rng(s)).ravel()
+                              for s in range(320)])
         assert big.size >= 1_000_000
         assert abs(big.std() - 0.125) / 0.125 < 0.01
         assert r.shape == (64, 50)
 
     def test_distinct_seeds(self):
-        assert not np.array_equal(draw_projection(8, 4, 1), draw_projection(8, 4, 2))
+        assert not np.array_equal(draw_projection(8, 4, np.random.default_rng(1)),
+                                  draw_projection(8, 4, np.random.default_rng(2)))
 
     def test_r_exceeds_d(self):
         with pytest.raises(ValueError):
-            draw_projection(4, 5, 0)
+            draw_projection(4, 5, np.random.default_rng(0))
 
 
 class TestPairLoss:

@@ -259,7 +259,7 @@ class TestEvaluate:
         x, y, ids = train.signals, train.labels, train.ids
         results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
         m = evaluate_arms([r.params for r in results], arm_roles("fcor"),
-                          test.signals, test.labels, None, BANK)
+                          test.signals, test.labels, np.ones(len(test), dtype=bool), BANK)
         assert set(m) == {"average", "p1", "p2", "p3", "n_masked"}
         assert m["n_masked"] == len(test)
 

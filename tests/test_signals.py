@@ -46,7 +46,7 @@ class TestSynthesize:
 
     def test_four_classes(self):
         ds = synthesize(synth_cfg(num_classes=4, records_per_class=4), 7)
-        assert ds.label_names == ["0", "1", "2", "3"]
+        assert ds.labels.tolist() == [c for c in range(4) for _ in range(4)]
         assert len(ds) == 16
 
     def test_invalid_config(self):
@@ -71,8 +71,8 @@ class TestSynthesize:
         f_tr, f_te = (f_tr - mu) / sd, (f_te - mu) / sd
         y_tr, y_te = train.labels, test.labels
 
-        w = np.zeros((2, len(train.label_names)))
-        b = np.zeros(len(train.label_names))
+        w = np.zeros((2, cfg.num_classes))
+        b = np.zeros(cfg.num_classes)
         for _ in range(2000):
             z = f_tr @ w + b
             z -= z.max(axis=1, keepdims=True)
@@ -92,14 +92,15 @@ class TestManifestRoundtrip:
         manifest = save_dataset(ds, tmp_path)
         back = load_dataset(manifest)
         assert len(back) == 30
-        assert back.label_names == ["0", "1", "2"]
+        rows = manifest.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [str(c) for c in ds.labels]
         assert back.ids == ds.ids and np.array_equal(back.labels, ds.labels)
         for sa, sb in zip(ds.signals, back.signals):
             assert np.array_equal(sa, sb)
 
     def test_raw_lengths_preserved(self, tmp_path):
         ds = Dataset(["a", "b"], np.array([0, 1]),
-                     [np.arange(7, dtype=float), np.arange(9, dtype=float) * 0.5], ["0", "1"])
+                     [np.arange(7, dtype=float), np.arange(9, dtype=float) * 0.5])
         back = load_dataset(save_dataset(ds, tmp_path))
         assert [len(s) for s in back.signals] == [7, 9]
 
@@ -169,25 +170,25 @@ class TestManifestRoundtrip:
             "record_id,label,path\na,afib,a.txt\nb,normal,b.txt\nc,afib,c.txt\n"
         )
         ds = load_dataset(path)
-        assert ds.label_names == ["afib", "normal"]
+        assert len(np.unique(ds.labels)) == 2
         assert ds.labels.tolist() == [0, 1, 0]
 
 
 class TestPreprocess:
     def test_short_signal_padded_symmetrically(self):
-        ds = Dataset(["a"], np.array([0]), [np.ones(4)], ["0"])
+        ds = Dataset(["a"], np.array([0]), [np.ones(4)])
         out, _ = preprocess(ds, 8, stats=(0.0, 1.0))
         sig = out.signals[0]
         assert len(sig) == 8
         assert np.array_equal(sig, [0, 0, 1, 1, 1, 1, 0, 0])
 
     def test_long_signal_center_cropped(self):
-        ds = Dataset(["a"], np.array([0]), [np.arange(10, dtype=float)], ["0"])
+        ds = Dataset(["a"], np.array([0]), [np.arange(10, dtype=float)])
         out, _ = preprocess(ds, 4, stats=(0.0, 1.0))
         assert np.array_equal(out.signals[0], [3, 4, 5, 6])
 
     def test_constant_dataset_zeroed(self):
-        ds = Dataset(["a"], np.array([0]), [np.full(6, 3.25)], ["0"])
+        ds = Dataset(["a"], np.array([0]), [np.full(6, 3.25)])
         out, _ = preprocess(ds, 6)
         assert np.array_equal(out.signals[0], np.zeros(6))
 
@@ -232,7 +233,7 @@ class TestSplit:
         # interleaved, uneven classes whose first appearance is not label order
         labels = [1, 0, 1, 1, 0, 1, 0, 1, 2, 2]
         ds = Dataset([f"k{i}" for i in range(10)], np.array(labels, dtype=np.int64),
-                     [np.full(3, float(i)) for i in range(10)], ["b", "a", "c"])
+                     [np.full(3, float(i)) for i in range(10)])
         train, test = split(ds, fraction, seed)
         assert train.ids == train_ids.split() and test.ids == test_ids.split()
         for part in (train, test):  # every column follows the ids
@@ -247,7 +248,7 @@ class TestSplit:
         assert train_ids | test_ids == set(ds.ids)
 
     def test_too_few_records(self):
-        ds = Dataset(["a"], np.array([0]), [np.ones(4)], ["0"])
+        ds = Dataset(["a"], np.array([0]), [np.ones(4)])
         with pytest.raises(ValueError, match="fewer than 2"):
             split(ds, 0.5, 0)
 

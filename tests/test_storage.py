@@ -225,3 +225,59 @@ def test_no_handler_swallows_every_exception():
     src = Path(densemble.__file__).parent
     found = [h for path in sorted(src.glob("*.py")) for h in _swallowing_handlers(path)]
     assert found == ["cli.main"]
+
+
+# Every default left in src/densemble and what calls without the argument
+# (ROADMAP item 5's pinned list); a default goes once nothing needs it.
+PINNED_DEFAULTS = {
+    "attacks.AttackSpec.make": {"steps", "alpha", "kernel_bank"},  # perfbench, acceptance 3
+    "autodiff.mean": {"axis"},  # acceptance 1, perfbench/kernels.py
+    "autodiff.Tensor.__init__": {"requires_grad", "parents", "backward_fn"},  # every leaf
+    "cli.main": {"argv"},  # cli.entry, the console script
+    "ensemble.AdamConfig": {"beta1", "beta2", "eps"},  # perfbench/kernels.py
+    "ensemble.adam_step": {"cfg"},  # perfbench/kernels.py
+    "ensemble.AdamState": {"t"},  # AdamState.init starts at step 0
+    "model.ArchConfig": {"conv_blocks", "feature_dim", "num_classes", "input_length"},  # perfbench
+    "model.make_param_tensors": {"requires_grad"},  # perfbench/child.py
+    "model.forward": {"param_tensors"},  # predict, build_cache and the attacks
+    "signals.preprocess": {"stats"},  # cli._load_splits fits the train split's own
+}
+
+
+def _defaults(path: Path) -> dict[str, set[str]]:
+    """'<module>.<qualified name>' -> its parameters and class fields that
+    have a default; a `field(...)` without `default` gives none."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                names = {p.arg for p in pos[len(pos) - len(a.defaults):]}
+                names |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            elif isinstance(child, ast.ClassDef):
+                names = {f.target.id for f in child.body
+                         if isinstance(f, ast.AnnAssign) and f.value is not None
+                         and not (isinstance(f.value, ast.Call)
+                                  and getattr(f.value.func, "id", None) == "field"
+                                  and not {"default", "default_factory"}
+                                  & {k.arg for k in f.value.keywords})}
+            else:
+                visit(child, prefix)
+                continue
+            name = f"{prefix}.{child.name}"
+            if names:
+                found[name] = names
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_default_is_pinned():
+    # a default that no caller needs hides a second way to call the function;
+    # each one left is needed by the callers named beside it
+    src = Path(densemble.__file__).parent
+    found = {k: v for path in sorted(src.glob("*.py")) for k, v in _defaults(path).items()}
+    assert found == PINNED_DEFAULTS
