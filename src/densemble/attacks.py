@@ -34,6 +34,7 @@ __all__ = [
     "craft_set",
     "save_attacked_set",
     "load_attacked_set",
+    "check_index",
 ]
 
 INDEX_HEADER = ["record_id", "label", "masked", "linf_delta"]
@@ -59,10 +60,10 @@ class AttackSpec:
         if self.family not in ("pgd", "sap"):
             raise ValueError(f"family: unknown attack family {self.family!r}")
         for name, low in (("eps", 0), ("alpha", 0), ("steps", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
-        if self.family == "sap" and not self.kernel_bank:
-            raise ValueError("kernel_bank: sap needs a non-empty kernel bank")
+            if not isinstance(value := getattr(self, name), (int, float)) or value < low:
+                raise ValueError(f"{name}: must be >= {low}, got {value!r}")
+        if (self.family == "sap") != bool(self.kernel_bank):
+            raise ValueError(f"kernel_bank: sap needs kernels, pgd none; got {self.kernel_bank!r}")
         for s, sigma in self.kernel_bank:
             if s % 2 == 0 or s < 1 or sigma <= 0:
                 raise ValueError(f"kernel_bank: need [odd width, std > 0], got ({s}, {sigma})")
@@ -125,17 +126,6 @@ def pgd(
     return _ascend(params, x, y, spec, lambda delta: delta)
 
 
-def _render_smooth(theta: Tensor, kernels: list[np.ndarray]) -> Tensor:
-    """(1/M) sum_m theta (*) K_m with same-length zero-padded convolution."""
-    n, length = theta.shape
-    th3 = ad.reshape(theta, (n, 1, length))
-    acc = None
-    for k in kernels:
-        term = ad.conv1d(th3, Tensor(k.reshape(1, 1, -1)), stride=1, pad=(len(k) - 1) // 2)
-        acc = term if acc is None else ad.add(acc, term)
-    return ad.reshape(ad.scale(acc, 1.0 / len(kernels)), (n, length))
-
-
 def sap(
     params: ClassifierParams,
     x: np.ndarray,
@@ -143,13 +133,18 @@ def sap(
     spec: AttackSpec,
 ) -> np.ndarray:
     """Smoothed perturbation: optimize a latent theta (clipped to the
-    epsilon ball) whose kernel-smoothed average is added to x.  Since the
-    kernels are non-negative with unit sum, the induced perturbation also
-    stays inside the epsilon ball."""
+    epsilon ball) rendered by one convolution with the mean of the centred
+    kernels and added to x.  That kernel is non-negative with unit sum, so
+    the induced perturbation also stays inside the epsilon ball."""
     if spec.family != "sap":
         raise ValueError("sap called with a non-sap spec")
-    kernels = [gaussian_kernel(s, sigma) for s, sigma in spec.kernel_bank]
-    return _ascend(params, x, y, spec, lambda theta: _render_smooth(theta, kernels))
+    width = max(s for s, _ in spec.kernel_bank)
+    kernel = np.zeros((1, 1, width))
+    for s, sigma in spec.kernel_bank:
+        kernel[..., (width - s) // 2 : (width + s) // 2] += gaussian_kernel(s, sigma)
+    mean = Tensor(kernel / len(spec.kernel_bank))
+    return _ascend(params, x, y, spec, lambda theta: ad.reshape(ad.conv1d(
+        ad.reshape(theta, (len(x), 1, -1)), mean, stride=1, pad=width // 2), theta.shape))
 
 
 @dataclass
@@ -226,7 +221,9 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
         check_record_id(rid, seen, f"{index}:{ln}")
         try:
             labels.append(int(label))
-            mask.append(bool(int(masked)))
+            if masked not in ("0", "1"):
+                raise ValueError(f"masked must be 0 or 1, got {masked!r}")
+            mask.append(masked == "1")
         except ValueError as exc:
             raise ValueError(f"{index}:{ln}: {exc}") from None
         ids.append(rid)
@@ -238,17 +235,29 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
             raise ValueError(f"{path}: {len(row)} values, but the other signals have {common}")
     natural, perturbed = np.stack(rows[: len(ids)]), np.stack(rows[len(ids):])
 
-    try:
-        spec = AttackSpec.make(manifest["family"], manifest["epsilon"], steps=manifest["steps"],
-                               alpha=manifest["alpha"], kernel_bank=manifest["kernel_bank"])
+    try:  # as written: no default fills or drops a recorded value
+        if (target := manifest["target_model_id"]) != "arm0":
+            raise ValueError(f"target_model_id: must be 'arm0', got {target!r}")
+        spec = AttackSpec(family=manifest["family"], eps=manifest["epsilon"],
+                          alpha=manifest["alpha"], steps=manifest["steps"],
+                          kernel_bank=tuple(tuple(k) for k in manifest["kernel_bank"]))
     except (TypeError, ValueError) as exc:  # a recorded value the spec refuses
         raise ValueError(f"{in_dir / 'attack_manifest.json'}: {exc}") from None
-    return AttackedSet(
-        ids=ids,
-        labels=np.array(labels, dtype=np.int64),
-        natural=natural,
-        perturbed=perturbed,
-        mask=np.array(mask, dtype=bool),
-        spec=spec,
-        target_params_sha256=manifest["target_params_sha256"],
-    )
+    return AttackedSet(ids=ids, labels=np.array(labels, dtype=np.int64), natural=natural,
+                       perturbed=perturbed, mask=np.array(mask, dtype=bool), spec=spec,
+                       target_params_sha256=manifest["target_params_sha256"])
+
+
+def check_index(in_dir: Path, aset: AttackedSet, mask: np.ndarray) -> None:
+    """Refuse a loaded cell that leaves the epsilon ball or whose ``index.csv``
+    differs from what derives it: ``masked`` from the base arm's hits `mask`."""
+    deltas = np.max(np.abs(aset.perturbed - aset.natural), axis=1)
+    for i, (ln, (rid, _, masked, linf)) in enumerate(read_csv(in_dir / "index.csv", INDEX_HEADER)):
+        if deltas[i] > aset.spec.eps + 1e-12:
+            raise ValueError(f"{in_dir / 'perturbed' / rid}.txt: max|perturbed - natural| "
+                             f"{float(deltas[i])!r} exceeds epsilon {aset.spec.eps!r}")
+        for name, written, derived in (("masked", masked, str(int(mask[i]))),
+                                       ("linf_delta", linf, repr(float(deltas[i])))):
+            if written != derived:
+                raise ValueError(f"{in_dir / 'index.csv'}:{ln}: {name} is {written!r}, but the "
+                                 f"signals and arm0 give {derived!r}; rerun attack")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import craft_set, load_attacked_set, save_attacked_set
+from .attacks import check_index, craft_set, load_attacked_set, save_attacked_set
 from .config import (
     ConfigError,
     arch_from_config,
@@ -37,7 +37,7 @@ from .ensemble import (
     evaluate_arms,
     train_ensemble,
 )
-from .model import load_params, save_params
+from .model import load_params, predict, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
 from .storage import digest, write_bytes, write_csv, write_json
 
@@ -226,8 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bank = bank_from_config(cfg)
     train, test, train_digest = _load_splits(cfg)
 
-    # (attack, epsilon, inputs, labels, mask); the natural test set first
-    cells = [("none", 0.0, test.signals, test.labels, np.ones(len(test), dtype=bool))]
+    loaded = []
     for name, spec in attack_cells(cfg):
         aset = load_attacked_set(attacks_dir / name)
         if (aset.spec != spec or aset.ids != test.ids or aset.target_params_sha256 != base_sha
@@ -235,16 +234,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 or not np.array_equal(aset.labels, test.labels)):
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
-        cells.append((spec.family, spec.eps, aset.perturbed, aset.labels, aset.mask))
+        loaded.append((attacks_dir / name, aset))
     arms = {kind: [_checked_cache(ensemble_dir / kind, k, key, train.ids, train_digest)
                    for k, key in enumerate(_arm_keys(cfg, kind, train_digest))] for kind in kinds}
+    mask = predict(arms[kinds[0]][0][2], test.signals) == test.labels
+    for cell_dir, aset in loaded:
+        check_index(cell_dir, aset, mask)
+    # (attack, epsilon, inputs, scored samples); the natural test set first
+    cells = [("none", 0.0, test.signals, np.ones(len(test), dtype=bool))] + [
+        (aset.spec.family, aset.spec.eps, aset.perturbed, mask) for _, aset in loaded]
 
     rows = []
     correlations = {}
     for kind in kinds:
         caches, _, params = zip(*arms[kind])
-        for fam, eps, x, y, mask in cells:
-            m = evaluate_arms(params, arm_roles(kind), x, y, mask, bank)
+        for fam, eps, x, scored in cells:
+            m = evaluate_arms(params, arm_roles(kind), x, test.labels, scored, bank)
             rows.append([kind, fam, repr(float(eps))]
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
         correlations[kind] = correlation_report([cache.features for cache in caches])

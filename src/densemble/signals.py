@@ -167,8 +167,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if label_str not in label_names:
             label_names.append(label_str)
         path = base / rel
-        if not path.exists():
-            raise FileNotFoundError(f"signal file missing: {path}")
+        if not path.is_file():
+            raise FileNotFoundError(f"{manifest_path}:{ln}: signal file missing: {path}")
         ids.append(rid)
         labels.append(label_names.index(label_str))
         signals.append(read_signal(path))

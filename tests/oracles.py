@@ -88,3 +88,11 @@ def conv1d_direct(x: np.ndarray, w: np.ndarray, stride: int, pad: int, g: np.nda
             gw[:, :, tap] += g[:, :, pos].T @ col
             gxp[:, :, pos * stride + tap] += g[:, :, pos] @ w[:, :, tap]
     return out, gxp[:, :, pad : pad + length], gw
+
+
+def smooth_mean_direct(rows: np.ndarray, kernels) -> np.ndarray:
+    """SAP's rendering from its definition: each row put through every
+    kernel as its own same-length convolution, then the M results averaged."""
+    return np.stack([
+        np.mean([np.convolve(row, k, mode="same") for k in kernels], axis=0) for row in rows
+    ])

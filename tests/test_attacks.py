@@ -13,7 +13,8 @@ from densemble.attacks import (
     sap,
     save_attacked_set,
 )
-from densemble.autodiff import next_pow2
+from densemble import autodiff as ad
+from densemble.autodiff import Tensor, next_pow2
 from densemble.config import (
     arch_from_config,
     bank_from_config,
@@ -24,8 +25,10 @@ from densemble.config import (
 )
 from densemble.ensemble import ArmRole, train_arm
 from densemble.fourier import band_energy, design_bank
-from densemble.model import predict
+from densemble.model import forward, predict
 from densemble.signals import preprocess, split, synthesize
+
+from oracles import smooth_mean_direct
 
 CFG = resolve_config({
     "data": {"records_per_class": 30, "length": 128},
@@ -130,6 +133,21 @@ class TestSap:
         for eps in (0.25, 1.5):
             out = sap(params, x, y, AttackSpec.make("sap", eps))
             assert float(np.max(np.abs(out - x))) <= eps + 1e-12
+
+    def test_one_step_is_the_mean_of_separate_convolutions(self, toy):
+        # the merged filter against the paper's M separate convolutions: with
+        # alpha = eps one step lands on the ball's sign vertex of the latent
+        # gradient, which is the (self-adjoint) rendering of the input gradient
+        params, x, y, _ = toy
+        kernels = [gaussian_kernel(s, sigma) for s, sigma in DEFAULT_SAP_KERNELS]
+        leaf = Tensor(x, requires_grad=True)
+        ad.softmax_cross_entropy(forward(params, leaf)[0], y).backward()
+        for eps in (0.1, 1.5):
+            spec = AttackSpec(family="sap", eps=eps, alpha=eps, steps=1,
+                              kernel_bank=DEFAULT_SAP_KERNELS)
+            want = x + smooth_mean_direct(eps * np.sign(smooth_mean_direct(leaf.grad, kernels)),
+                                          kernels)
+            assert float(np.max(np.abs(sap(params, x, y, spec) - want))) <= 1e-12
 
     def test_smoother_than_pgd(self, toy):
         # the whole point of the kernel rendering: less high-band energy

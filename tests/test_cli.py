@@ -616,6 +616,73 @@ def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsy
     assert f"{manifest}: missing key 'steps'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, key, value", [
+    ("sap_eps00", "alpha", None),  # once filled with eps * 0.1
+    ("pgd_eps00", "kernel_bank", [[5, 1.25]]),  # once dropped
+    ("pgd_eps01", "target_model_id", "arm7"),
+], ids=["alpha", "kernel_bank", "target_model_id"])
+def test_evaluate_reads_attack_manifest_as_written(attacked, capsys, cell, key, value):
+    tmp_path, cfg = attacked
+    manifest = tmp_path / "atk" / cell / "attack_manifest.json"
+    fields = json.loads(manifest.read_text())
+    fields[key] = value
+    manifest.write_text(json.dumps(fields))
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{manifest}: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def _edit_index_row(index, pick, column, value):
+    """Set `column` of the first row that `pick` accepts; return its line."""
+    lines = index.read_text().splitlines()
+    header = lines[0].split(",")
+    ln = next(ln for ln in range(2, len(lines) + 1)
+              if pick(dict(zip(header, lines[ln - 1].split(",")))))
+    row = lines[ln - 1].split(",")
+    row[header.index(column)] = value
+    lines[ln - 1] = ",".join(row)
+    index.write_text("\n".join(lines) + "\n")
+    return ln
+
+
+@pytest.mark.parametrize("masked", ["2", "0"])
+def test_evaluate_refuses_masked_column_arm0_does_not_give(attacked, capsys, masked):
+    # "2" was once read as true; a flipped 1 changed the report
+    tmp_path, cfg = attacked
+    index = tmp_path / "atk" / "pgd_eps00" / "index.csv"
+    ln = _edit_index_row(index, lambda row: row["masked"] == "1", "masked", masked)
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{index}:{ln}: masked " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_refuses_linf_delta_the_signals_do_not_give(attacked, capsys):
+    tmp_path, cfg = attacked
+    index = tmp_path / "atk" / "sap_eps02" / "index.csv"
+    ln = _edit_index_row(index, lambda row: True, "linf_delta", "x")
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{index}:{ln}: linf_delta is 'x', but the signals and arm0 give " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_refuses_perturbation_outside_the_ball(attacked, capsys):
+    tmp_path, cfg = attacked
+    cell = tmp_path / "atk" / "pgd_eps02"
+    rids = [line.split(",")[0] for line in (cell / "index.csv").read_text().splitlines()[1:]]
+    for rid in rids[1:3]:
+        path = cell / "perturbed" / f"{rid}.txt"
+        path.write_text("".join(f"{-20 * float(v)!r}\n" for v in path.read_text().split()))
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"{cell / 'perturbed' / rids[1]}.txt: max|perturbed - natural| " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("content", ["null", "5", "true", "[]"])
 def test_evaluate_attack_manifest_not_object_names_file(attacked, capsys, content):
     tmp_path, cfg = attacked

@@ -119,7 +119,18 @@ class TestManifestRoundtrip:
     def test_missing_file(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("record_id,label,path\nx,0,missing.txt\n")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match=re.escape(
+                f"{path}:2: signal file missing: {tmp_path / 'missing.txt'}")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("rel", ["", "signals"])
+    def test_path_that_is_no_file_names_manifest_line(self, tmp_path, rel):
+        # an empty path is the manifest's own directory
+        (tmp_path / "signals").mkdir()
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"record_id,label,path\nx,0,{rel}\n")
+        with pytest.raises(FileNotFoundError,
+                           match=re.escape(f"{path}:2: signal file missing: {tmp_path / rel}")):
             load_dataset(path)
 
     def test_unparsable_float(self, tmp_path):

@@ -138,6 +138,14 @@ def test_only_checked_cache_reads_caches():
         assert callers == ["cli._checked_cache"], name
 
 
+def test_only_config_builds_specs_with_defaults():
+    # an attack manifest is read as written: AttackSpec.make's defaults would
+    # fill a null alpha and drop a pgd cell's kernel bank
+    src = Path(densemble.__file__).parent
+    callers = [c for path in sorted(src.glob("*.py")) for c in _callers(path, "make")]
+    assert callers == ["config.attack_cells", "config.<module>"]
+
+
 def _attribute_readers(path: Path, attr: str):
     """'<module>.<top-level name>' for every read of the attribute `attr` in a module."""
     for top in ast.parse(path.read_text()).body:
