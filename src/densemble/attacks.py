@@ -34,7 +34,6 @@ __all__ = [
     "craft_set",
     "save_attacked_set",
     "load_attacked_set",
-    "check_index",
 ]
 
 INDEX_HEADER = ["record_id", "label", "masked", "linf_delta"]
@@ -217,7 +216,7 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
     if missing := [k for k in MANIFEST_KEYS if k not in manifest]:
         raise ValueError(f"{in_dir / 'attack_manifest.json'}: missing key {missing[0]!r}")
     ids, labels, mask, seen = [], [], [], set()
-    for ln, (rid, label, masked, _delta) in read_csv(index, INDEX_HEADER):
+    for ln, (rid, label, masked, _) in (index_rows := read_csv(index, INDEX_HEADER)):
         check_record_id(rid, seen, f"{index}:{ln}")
         try:
             labels.append(int(label))
@@ -243,21 +242,15 @@ def load_attacked_set(in_dir: str | Path) -> AttackedSet:
                           kernel_bank=tuple(tuple(k) for k in manifest["kernel_bank"]))
     except (TypeError, ValueError) as exc:  # a recorded value the spec refuses
         raise ValueError(f"{in_dir / 'attack_manifest.json'}: {exc}") from None
+    deltas = np.max(np.abs(perturbed - natural), axis=1)
+    for (ln, (rid, _, _, linf)), delta in zip(index_rows, deltas.tolist()):
+        if delta > spec.eps + 1e-12:
+            raise ValueError(f"{in_dir / 'perturbed' / rid}.txt: max|perturbed - natural| "
+                             f"{delta!r} exceeds epsilon {spec.eps!r}")
+        if linf != repr(delta):
+            raise ValueError(f"{index}:{ln}: linf_delta is {linf!r}, but the signals and arm0 "
+                             f"give {repr(delta)!r}; rerun attack")
     return AttackedSet(ids=ids, labels=np.array(labels, dtype=np.int64), natural=natural,
                        perturbed=perturbed, mask=np.array(mask, dtype=bool), spec=spec,
                        target_params_sha256=manifest["target_params_sha256"])
 
-
-def check_index(in_dir: Path, aset: AttackedSet, mask: np.ndarray) -> None:
-    """Refuse a loaded cell that leaves the epsilon ball or whose ``index.csv``
-    differs from what derives it: ``masked`` from the base arm's hits `mask`."""
-    deltas = np.max(np.abs(aset.perturbed - aset.natural), axis=1)
-    for i, (ln, (rid, _, masked, linf)) in enumerate(read_csv(in_dir / "index.csv", INDEX_HEADER)):
-        if deltas[i] > aset.spec.eps + 1e-12:
-            raise ValueError(f"{in_dir / 'perturbed' / rid}.txt: max|perturbed - natural| "
-                             f"{float(deltas[i])!r} exceeds epsilon {aset.spec.eps!r}")
-        for name, written, derived in (("masked", masked, str(int(mask[i]))),
-                                       ("linf_delta", linf, repr(float(deltas[i])))):
-            if written != derived:
-                raise ValueError(f"{in_dir / 'index.csv'}:{ln}: {name} is {written!r}, but the "
-                                 f"signals and arm0 give {derived!r}; rerun attack")

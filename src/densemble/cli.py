@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import check_index, craft_set, load_attacked_set, save_attacked_set
+from .attacks import INDEX_HEADER, craft_set, load_attacked_set, save_attacked_set
 from .config import (
     ConfigError,
     arch_from_config,
@@ -39,7 +39,7 @@ from .ensemble import (
 )
 from .model import load_params, predict, save_params
 from .signals import load_dataset, preprocess, save_dataset, split, synthesize
-from .storage import digest, write_bytes, write_csv, write_json
+from .storage import digest, read_csv, write_bytes, write_csv, write_json
 
 __all__ = ["main", "entry"]
 
@@ -120,7 +120,7 @@ def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train
         if not path.exists():
             raise FileNotFoundError(f"missing artifact: {path}")
     cache, params = load_cache(cache_path), params_path.read_bytes()
-    for name, current, what in (("params_sha256", _sha256(params), params_path.name),
+    for name, current, what in (("params_sha256", _sha256(params), params_path),
                                 ("train_digest", train_digest, "the current train split"),
                                 ("arm_key", key, "the current config")):
         if cache.provenance.get(name) != current:
@@ -189,8 +189,9 @@ def _base_arm(ensemble_dir: Path) -> tuple[list[str], str]:
         raise FileNotFoundError(f"no trained ensembles under {ensemble_dir}")
     kinds = list(shas)
     if odd := [k for k in kinds if shas[k] != shas[kinds[0]]]:
+        a, b = (ensemble_dir / k / "arm0.params" for k in (kinds[0], odd[0]))
         raise RuntimeError(f"base arm differs between ensembles {kinds[0]} and {odd[0]}; "
-                           "retrain with consistent seeds")
+                           f"retrain with consistent seeds ({a} and {b} differ)")
     return kinds, shas[kinds[0]]
 
 
@@ -239,7 +240,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                    for k, key in enumerate(_arm_keys(cfg, kind, train_digest))] for kind in kinds}
     mask = predict(arms[kinds[0]][0][2], test.signals) == test.labels
     for cell_dir, aset in loaded:
-        check_index(cell_dir, aset, mask)
+        if (rows := np.flatnonzero(aset.mask != mask)).size:  # name the line only on failure
+            ln, (_, _, masked, _) = read_csv(cell_dir / "index.csv", INDEX_HEADER)[rows[0]]
+            raise ValueError(f"{cell_dir / 'index.csv'}:{ln}: masked is {masked!r}, but the "
+                             f"signals and arm0 give {str(int(mask[rows[0]]))!r}; rerun attack")
     # (attack, epsilon, inputs, scored samples); the natural test set first
     cells = [("none", 0.0, test.signals, np.ones(len(test), dtype=bool))] + [
         (aset.spec.family, aset.spec.eps, aset.perturbed, mask) for _, aset in loaded]

@@ -229,6 +229,28 @@ class TestCraftSet:
         with pytest.raises(ValueError, match=re.escape(str(short))):
             load_attacked_set(tmp_path / "cell")
 
+    def test_perturbation_outside_the_ball_names_its_file(self, toy, tmp_path):
+        params, x, y, ids = toy
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
+                         TARGET_SHA)
+        save_attacked_set(aset, tmp_path / "cell")
+        far = tmp_path / "cell" / "perturbed" / f"{ids[1]}.txt"
+        far.write_text("".join(f"{-20 * float(v)!r}\n" for v in far.read_text().split()))
+        with pytest.raises(ValueError, match=re.escape(f"{far}: max|perturbed - natural| ")):
+            load_attacked_set(tmp_path / "cell")
+
+    def test_linf_delta_the_signals_do_not_give_names_its_line(self, toy, tmp_path):
+        params, x, y, ids = toy
+        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
+                         TARGET_SHA)
+        save_attacked_set(aset, tmp_path / "cell")
+        index = tmp_path / "cell" / "index.csv"
+        lines = index.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{index}:3: linf_delta is 'x', but ")):
+            load_attacked_set(tmp_path / "cell")
+
     def test_missing_index_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_attacked_set(tmp_path / "nope")

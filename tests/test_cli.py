@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 import json
 import struct
 
@@ -494,6 +496,25 @@ def attacked(workdir):
     return tmp_path, cfg
 
 
+def test_evaluate_reads_each_index_once(attacked, monkeypatch):
+    # every check on a cell's index.csv sits in the one read that loads it;
+    # Path.read_* and the builtin open both open through io.open
+    tmp_path, cfg = attacked
+    opened, real_open = [], io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 0
+    indexes = sorted(str(p) for p in (tmp_path / "atk").glob("*/index.csv"))
+    assert len(indexes) == 10
+    assert {p: opened.count(p) for p in indexes} == dict.fromkeys(indexes, 1)
+
+
 def test_evaluate_missing_cache_exits_1(attacked, capsys):
     tmp_path, cfg = attacked
     cache = tmp_path / "ens" / "cor" / "arm1.cache"
@@ -786,6 +807,17 @@ def test_attack_and_evaluate_refuse_base_arms_that_differ(workdir, capsys):
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert "base arm differs between ensembles cor and fcor" in capsys.readouterr().err
+    # a damaged header byte: the message names both parameter files
+    blob[-1] ^= 1
+    blob[8] ^= 1
+    params.write_bytes(bytes(blob))
+    for argv in (("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk"),
+                 ("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                  "--attacks", "atk", "--out", "r/report.csv")):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "base arm differs between ensembles cor and fcor" in err
+        assert f"{tmp_path / 'ens' / 'cor' / 'arm0.params'} and {params} differ" in err
     assert not (tmp_path / "atk").exists() and not (tmp_path / "r").exists()
 
 
