@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import ClassifierParams, forward, predict
+from .model import ClassifierParams, forward
 from .signals import check_record_id, read_signal, write_signal
 from .storage import read_csv, read_json, write_csv, write_json
 
@@ -158,24 +158,22 @@ class AttackedSet:
 
 
 def craft_set(
-    target: ClassifierParams,
     x: np.ndarray,
     y: np.ndarray,
     ids,
+    mask: np.ndarray,
     spec: AttackSpec,
     base: ClassifierParams,
     target_params_sha256: str,
 ) -> AttackedSet:
-    """Perturb every sample against `target`; the scoring mask keeps only
-    samples the base model classifies correctly in natural form."""
+    """Perturb every sample against `base`; `mask`, the samples the base
+    model classifies correctly in natural form, is recorded as given."""
     attack = pgd if spec.family == "pgd" else sap
-    perturbed = attack(target, x, y, spec)
-    mask = predict(base, x) == y
     return AttackedSet(
         ids=list(ids),
         labels=np.asarray(y),
         natural=np.asarray(x, dtype=np.float64),
-        perturbed=perturbed,
+        perturbed=attack(base, x, y, spec),
         mask=mask,
         spec=spec,
         target_params_sha256=target_params_sha256,

@@ -104,7 +104,7 @@ def _arm_keys(cfg: dict, kind: str, train_digest: str) -> list[str]:
         parts = [train_digest, arch, tcfg, k, role.band]
         if role.band is not None:
             parts += [cfg["bank"]["cutoff"], cfg["bank"]["transition_width"]]
-        if role.decorrelates(decor, k):
+        if role.decorrelates(decor):
             parts += [decor, list(keys)]
         keys.append(digest(*parts))
     return keys
@@ -113,8 +113,8 @@ def _arm_keys(cfg: dict, kind: str, train_digest: str) -> list[str]:
 def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train_digest: str):
     """Arm k's cache, the `arm{k}.params` bytes it was checked against and the
     parameters they hold: the cache must record their sha256, have been
-    computed over the current train split and carry the arm key `key` that
-    `_arm_keys` gives for the current config."""
+    computed over the current train split, carry the arm key `key` that
+    `_arm_keys` gives for the current config and be named `arm{k}`."""
     params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
     for path in (params_path, cache_path):
         if not path.exists():
@@ -125,6 +125,8 @@ def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train
                                 ("arm_key", key, "the current config")):
         if cache.provenance.get(name) != current:
             raise ValueError(f"{cache_path}: {name} differs from {what}; retrain")
+    if cache.model_id != f"arm{k}":
+        raise ValueError(f"{cache_path}: model_id is {cache.model_id!r}, not 'arm{k}'; retrain")
     if cache.sample_ids != tuple(train_ids):
         raise ValueError(f"{cache_path}: sample_ids differ from the train split")
     return cache, params, load_params(params_path)
@@ -205,10 +207,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, key, train.ids, train_digest)
 
     grid = attack_cells(cfg)
+    mask = predict(base, test.signals) == test.labels  # scores every cell, as in evaluate
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
     for name, spec in grid:
         try:
-            aset = craft_set(base, test.signals, test.labels, test.ids, spec, base, base_sha)
+            aset = craft_set(test.signals, test.labels, test.ids, mask, spec, base, base_sha)
             save_attacked_set(aset, out_dir / name)
         except Exception as exc:
             raise RuntimeError(f"attack cell {name} failed: {exc}") from exc

@@ -55,10 +55,10 @@ class ArmRole:
     band: int | None  # index into the filter bank, None = unfiltered
     decorrelate: bool
 
-    def decorrelates(self, decor: DecorConfig, prior: int) -> bool:
-        """Whether the arm trains with the penalty: its role asks for it, the
-        weight is positive and `prior` earlier arms exist to decorrelate from."""
-        return self.decorrelate and decor.weight > 0 and prior > 0
+    def decorrelates(self, decor: DecorConfig) -> bool:
+        """Whether the arm trains with the penalty: its role asks for it and
+        the weight is positive.  Arm 0's role never asks."""
+        return self.decorrelate and decor.weight > 0
 
 
 def arm_roles(kind: str) -> tuple[ArmRole, ...]:
@@ -252,12 +252,12 @@ def train_ensemble(
     caches: list[FeatureCache] = []
     try:
         for k, role in enumerate(roles):  # check every arm's batches before any trains
-            if role.decorrelates(decor_cfg, k):
+            if role.decorrelates(decor_cfg):
                 _check_decor_batches(train_x.shape[0], arch, cfg, decor_cfg)
         for k, role in enumerate(roles):
             res = None if k in known else train_arm(
                 k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
-                list(caches) if role.decorrelates(decor_cfg, k) else [], bank,
+                list(caches) if role.decorrelates(decor_cfg) else [], bank,
             )
             results.append(res)
             caches.append(known[k] if res is None else res.cache)

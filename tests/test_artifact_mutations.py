@@ -1,11 +1,15 @@
-"""Every field that `evaluate` reads is held to what it can recompute.
+"""Every field that `train`, `attack` or `evaluate` reads is held to what it
+can recompute.
 
 One tiny run (`cor` and `fcor`, attacked and evaluated) is built once.  Each
 case changes one field of one artifact, once to a value of another type and
-once to another value of the same type, runs `evaluate` and restores the
-file.  A case passes when `evaluate` exits 1 naming the mutated file (for a
-file inside an attacked cell, that cell's directory is enough), or exits 0
-with `report.csv` and `correlation.json` byte-identical to the unmutated run.
+once to another value of the same type, reruns a command and restores the
+file.  Every case reruns `evaluate`; a case on an arm container also reruns
+`attack`, which reads arm 0 of the first kind, and `train --kind dec
+--force`, which copies an arm from a sibling kind that passes its checks.
+A case passes when the command exits 1 naming the mutated file (for a file
+inside an attacked cell, that cell's directory is enough), or exits 0 with
+its output dir byte-identical to the unmutated run's.
 """
 
 import json
@@ -26,6 +30,13 @@ PARAMS_KEYS = ("format_version", "kind", "model_id", "arch", "arrays")
 CACHE_KEYS = ("format_version", "kind", "model_id", "sample_ids", "arm_key",
               "params_sha256", "train_digest", "arrays")
 HOW = ("type", "value")
+# each rerun's command line after the config, and the output dir it compares
+RERUNS = {
+    "evaluate": (["evaluate", "--ensemble-dir", "ens", "--attacks", "atk",
+                  "--out", "r/report.csv"], "r"),
+    "attack": (["attack", "--ensemble-dir", "ens", "--out", "a"], "a"),
+    "train": (["train", "--kind", "dec", "--out", "ens", "--force"], "ens/dec"),
+}
 
 CASES = (
     [("index", cell, row, col, how)
@@ -53,10 +64,19 @@ def _changed(value, how):
     return value[:-1] if value else [[5, 1.25]]
 
 
-def _evaluate(root, cfg, out):
+def _tree(d):
+    return {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
+def _rerun(root, cfg, command):
+    """Exit code and output tree of one rerun.  The output is removed after,
+    so every rerun sees the two-kind run."""
+    argv, out = RERUNS[command]
     shutil.rmtree(root / out, ignore_errors=True)
-    return run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens", "--attacks", "atk",
-                   "--out", f"{out}/report.csv")
+    try:
+        return run_cli(argv[0], "--config", cfg, *argv[1:]), _tree(root / out)
+    finally:
+        shutil.rmtree(root / out, ignore_errors=True)
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +89,10 @@ def run(tmp_path_factory):
     for kind in ("cor", "fcor"):
         assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
     assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
-    assert _evaluate(root, cfg, "base") == 0
-    outputs = {name: (root / "base" / name).read_bytes()
-               for name in ("report.csv", "correlation.json")}
+    outputs = {}
+    for command in RERUNS:
+        code, outputs[command] = _rerun(root, cfg, command)
+        assert code == 0 and outputs[command], command
     return root, cfg, outputs
 
 
@@ -126,31 +147,49 @@ def test_masked_and_unmasked_rows_exist(run):
         assert {"0", "1"} <= set(masked), cell
 
 
-@pytest.mark.parametrize("what,where,part,field,how", CASES,
-                         ids=["-".join(str(c) for c in case if c) for case in CASES])
-def test_mutation_is_refused_or_harmless(run, capsys, what, where, part, field, how):
-    root, cfg, outputs = run
+def _mutation(root, what, where, part, field, how):
+    """(the file or cell an error must name, the file to change, its new bytes)"""
     if what == "container":
         named = root / "ens" / where / part
-        path, mutated = _container_mutation(named, field, how)
-    else:
-        named = root / "atk" / where
-        if what == "index":
-            path, mutated = _index_mutation(named, part, field, how)
-        elif what == "manifest":
-            path, mutated = _json_mutation(named / "attack_manifest.json", field, how)
-        else:
-            path, mutated = _signal_mutation(named, field, how)
+        return (named, *_container_mutation(named, field, how))
+    named = root / "atk" / where
+    if what == "index":
+        return (named, *_index_mutation(named, part, field, how))
+    if what == "manifest":
+        return (named, *_json_mutation(named / "attack_manifest.json", field, how))
+    return (named, *_signal_mutation(named, field, how))
+
+
+def _refused_or_harmless(run, capsys, command, case):
+    root, cfg, outputs = run
+    named, path, mutated = _mutation(root, *case)
     original = path.read_bytes()
     assert mutated != original
     capsys.readouterr()
     try:
         path.write_bytes(mutated)
-        code = _evaluate(root, cfg, "r")
+        code, tree = _rerun(root, cfg, command)
     finally:
         path.write_bytes(original)
     err = capsys.readouterr().err
     if code == 0:
-        assert {name: (root / "r" / name).read_bytes() for name in outputs} == outputs
+        assert tree == outputs[command]
     else:
         assert code == 1 and str(named) in err, err
+
+
+@pytest.mark.parametrize("what,where,part,field,how", CASES,
+                         ids=["-".join(str(c) for c in case if c) for case in CASES])
+def test_mutation_is_refused_or_harmless(run, capsys, what, where, part, field, how):
+    _refused_or_harmless(run, capsys, "evaluate", (what, where, part, field, how))
+
+
+ARM_CASES = [(command, *case) for command in ("attack", "train") for case in CASES
+             if case[0] == "container"]
+
+
+@pytest.mark.parametrize("command,what,where,part,field,how", ARM_CASES,
+                         ids=["-".join(str(c) for c in case) for case in ARM_CASES])
+def test_rerun_over_mutated_arm_is_refused_or_harmless(run, capsys, command, what, where,
+                                                       part, field, how):
+    _refused_or_harmless(run, capsys, command, (what, where, part, field, how))

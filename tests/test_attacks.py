@@ -167,26 +167,26 @@ class TestSap:
             AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20, kernel_bank=())
 
 
-class TestCraftSet:
-    def test_mask_is_base_correct(self, toy):
-        params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.0), params, TARGET_SHA)
-        assert np.array_equal(aset.mask, predict(params, x) == y)
-        # with zero budget the masked base accuracy is 100% by construction
-        correct = predict(params, aset.perturbed) == aset.labels
-        assert np.all(correct[aset.mask])
+def _craft(params, x, y, ids, spec):
+    """craft_set as `attack` calls it: the mask is the base arm's natural correctness."""
+    return craft_set(x, y, ids, predict(params, x) == y, spec, params, TARGET_SHA)
 
-    def test_mask_fraction_equals_natural_accuracy(self, toy):
+
+class TestCraftSet:
+    # `attack` computes the scoring mask once per grid (tested in test_cli.py)
+    def test_mask_is_recorded_as_given(self, toy):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.25), params, TARGET_SHA)
-        assert aset.mask.mean() == np.mean(predict(params, x) == y)
+        mask = np.arange(len(y)) % 3 == 0
+        aset = craft_set(x, y, ids, mask, AttackSpec.make("pgd", 0.1, steps=1), params,
+                         TARGET_SHA)
+        assert aset.mask is mask
 
     def test_monotone_trend_in_eps(self, toy):
         params, x, y, ids = toy
         grid = [0.0, 0.3, 0.8, 1.5]
         accs = []
         for eps in grid:
-            aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", eps), params, TARGET_SHA)
+            aset = _craft(params, x, y, ids, AttackSpec.make("pgd", eps))
             correct = predict(params, aset.perturbed) == aset.labels
             accs.append(float(np.mean(correct[aset.mask])))
         inversions = [accs[i + 1] - accs[i] for i in range(len(accs) - 1)
@@ -196,7 +196,7 @@ class TestCraftSet:
 
     def test_roundtrip_storage(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("sap", 0.4), params, TARGET_SHA)
+        aset = _craft(params, x, y, ids, AttackSpec.make("sap", 0.4))
         save_attacked_set(aset, tmp_path / "cell")
         back = load_attacked_set(tmp_path / "cell")
         assert back.ids == aset.ids
@@ -209,8 +209,7 @@ class TestCraftSet:
 
     def test_bad_signal_value_names_file_and_line(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
-                         TARGET_SHA)
+        aset = _craft(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1))
         save_attacked_set(aset, tmp_path / "cell")
         bad = tmp_path / "cell" / "perturbed" / f"{ids[0]}.txt"
         lines = bad.read_text().splitlines()
@@ -221,8 +220,7 @@ class TestCraftSet:
 
     def test_short_signal_names_its_file(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
-                         TARGET_SHA)
+        aset = _craft(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1))
         save_attacked_set(aset, tmp_path / "cell")
         short = tmp_path / "cell" / "perturbed" / f"{ids[1]}.txt"
         short.write_text("\n".join(short.read_text().splitlines()[:-1]) + "\n")
@@ -231,8 +229,7 @@ class TestCraftSet:
 
     def test_perturbation_outside_the_ball_names_its_file(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
-                         TARGET_SHA)
+        aset = _craft(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1))
         save_attacked_set(aset, tmp_path / "cell")
         far = tmp_path / "cell" / "perturbed" / f"{ids[1]}.txt"
         far.write_text("".join(f"{-20 * float(v)!r}\n" for v in far.read_text().split()))
@@ -241,8 +238,7 @@ class TestCraftSet:
 
     def test_linf_delta_the_signals_do_not_give_names_its_line(self, toy, tmp_path):
         params, x, y, ids = toy
-        aset = craft_set(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1), params,
-                         TARGET_SHA)
+        aset = _craft(params, x, y, ids, AttackSpec.make("pgd", 0.1, steps=1))
         save_attacked_set(aset, tmp_path / "cell")
         index = tmp_path / "cell" / "index.csv"
         lines = index.read_text().splitlines()

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import io
 import json
 import struct
@@ -7,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from densemble import cli, config, ensemble
+from densemble import attacks, cli, config, ensemble, model
 from densemble.attacks import load_attacked_set
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
 
@@ -290,6 +291,26 @@ def test_sibling_whose_params_differ_from_its_cache_is_retrained(workdir, monkey
             assert path.read_bytes() == (tmp_path / "ens" / "dec" / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("model_id", ["arm0x", 0])
+def test_cache_naming_another_arm_is_refused(workdir, monkeypatch, capsys, model_id):
+    # a copied cache keeps its header, so its model_id must be its own arm's
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    cache = tmp_path / "ens" / "cor" / "arm0.cache"
+    save_cache(dataclasses.replace(load_cache(cache), model_id=model_id), cache)
+    message = f"{cache}: model_id is {model_id!r}, not 'arm0'; retrain"
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk2") == 1
+    assert message in capsys.readouterr().err
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens", "--attacks", "atk",
+                   "--out", "r/report.csv") == 1
+    assert message in capsys.readouterr().err
+    calls = _count_arm_trainings(monkeypatch)
+    assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens") == 0
+    assert calls == [0, 1, 2] and "copied" not in capsys.readouterr().out
+
+
 def _drop_header_field(path, name):
     # rewritten by hand, since write_container always writes the `arrays` index
     blob = path.read_bytes()
@@ -319,10 +340,10 @@ def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch,
 def _fail_sap_cells(monkeypatch):
     real = cli.craft_set
 
-    def craft(target, x, y, ids, spec, *rest):
+    def craft(x, y, ids, mask, spec, *rest):
         if spec.family == "sap":
             raise RuntimeError("no SAP today")
-        return real(target, x, y, ids, spec, *rest)
+        return real(x, y, ids, mask, spec, *rest)
 
     monkeypatch.setattr(cli, "craft_set", craft)
 
@@ -371,6 +392,54 @@ def test_attack_grid_and_zero_epsilon(workdir):
             delta = float(np.max(np.abs(pert - nat)))
             assert delta <= eps + 1e-12
             assert abs(delta - float(row["linf_delta"])) < 1e-15
+
+
+def test_attack_runs_one_natural_forward(workdir, monkeypatch):
+    # the scoring mask is computed once per command, not once per cell; the
+    # attack steps feed the model graph Tensors, the mask an ndarray
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    inputs, real = [], model.forward
+
+    def counting_forward(params, x, *args, **kwargs):
+        inputs.append(type(x))
+        return real(params, x, *args, **kwargs)
+
+    for module in (model, attacks):
+        monkeypatch.setattr(module, "forward", counting_forward)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    assert inputs.count(np.ndarray) == 1 and len(inputs) > 1
+
+
+def _base_correct(tmp_path):
+    """arm0's natural correctness on the test split, as `evaluate` scores it."""
+    _, test, _ = cli._load_splits(config.load_config(str(tmp_path / "config.json")))
+    arm0 = model.load_params(tmp_path / "ens" / "cor" / "arm0.params")
+    return test, arm0, model.predict(arm0, test.signals) == test.labels
+
+
+def test_attack_mask_is_base_correct(attacked):
+    tmp_path, _ = attacked
+    test, arm0, correct = _base_correct(tmp_path)
+    cells = sorted((tmp_path / "atk").glob("*/index.csv"))
+    assert len(cells) == 10 and 0 < correct.sum() < len(correct)
+    for index in cells:
+        with open(index, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["record_id"] for r in rows] == test.ids
+        assert [r["masked"] for r in rows] == [str(int(c)) for c in correct], index
+    # with zero budget every masked sample stays correctly classified
+    aset = load_attacked_set(tmp_path / "atk" / "pgd_eps00")
+    assert np.all((model.predict(arm0, aset.perturbed) == aset.labels)[aset.mask])
+
+
+def test_attack_mask_fraction_equals_natural_accuracy(attacked):
+    tmp_path, _ = attacked
+    *_, correct = _base_correct(tmp_path)
+    for cell in sorted((tmp_path / "atk").iterdir()):
+        if cell.is_dir():
+            assert load_attacked_set(cell).mask.mean() == np.mean(correct), cell.name
 
 
 def test_attack_requires_trained_base(workdir, capsys):
