@@ -45,9 +45,9 @@ class Tensor:
     Leaves are built directly (``Tensor(data, requires_grad=True)`` for
     trainable values); interior nodes are built by the ops below.
     ``backward()`` may only be called on a scalar and fills ``.grad`` on
-    every reachable node that requires gradients.  Nodes that do not
-    require gradients (frozen features, constants) never receive an
-    adjoint.
+    every reachable leaf that requires gradients, then leaves each interior
+    node only its data, so a graph is backpropagated once.  Nodes that do
+    not require gradients (frozen features, constants) get no adjoint.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -106,6 +106,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:  # an interior node is spent once passed on; leaves keep .grad
+                node.grad, node._backward_fn, node._parents = None, None, ()
 
 
 def _as_tensor(value) -> Tensor:
@@ -145,13 +147,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    out = np.maximum(x.data, 0.0)
+    out += 0.0  # max(-0.0, 0.0) is -0.0; adding 0.0 makes it +0.0
 
     def bw(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * (out > 0))
 
-    return Tensor(np.where(mask, x.data, 0.0), parents=(x,), backward_fn=bw)
+    return Tensor(out, parents=(x,), backward_fn=bw)
 
 
 def log(x: Tensor) -> Tensor:
@@ -235,25 +238,26 @@ def conv1d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
     if k > length + 2 * pad:
         raise ValueError("conv1d kernel longer than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]  # (n,c,Lout,k)
+    xp = np.pad(x.data.transpose(1, 0, 2), ((0, 0), (0, 0), (pad, pad)))  # channel-major
+    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]  # (c,n,Lout,k)
     l_out, lp = win.shape[2], xp.shape[2]
-    cols = win.transpose(1, 3, 0, 2).reshape(c * k, n * l_out)  # im2col, (c*k, n*Lout)
+    cols = win.transpose(0, 3, 1, 2).reshape(c * k, n * l_out)  # im2col, (c*k, n*Lout)
     out = (w.data.reshape(c_out, c * k) @ cols).reshape(c_out, n, l_out).transpose(1, 0, 2)
     if not w.requires_grad:
         cols = None  # only the weight adjoint reads it; the graph need not hold it
 
     def bw(g: np.ndarray) -> None:
-        if w.requires_grad:
-            gw = cols @ g.transpose(0, 2, 1).reshape(n * l_out, c_out)
+        gc = g.transpose(1, 0, 2).reshape(c_out, n * l_out)  # channel-major, one copy at most
+        if w.requires_grad:  # a contiguous right operand keeps the GEMM's bytes
+            gw = cols @ np.ascontiguousarray(gc.T)
             w._accumulate(gw.reshape(c, k, c_out).transpose(2, 0, 1))
         if x.requires_grad:
             wt = w.data.transpose(1, 2, 0).reshape(c * k, c_out)
-            t = (wt @ g.transpose(1, 0, 2).reshape(c_out, n * l_out)).reshape(c, k, n, l_out)
-            gxp = np.zeros((n, c, lp))
+            t = (wt @ gc).reshape(c, k, n, l_out)
+            gxp = np.zeros((c, n, lp))
             for i in range(k):
-                gxp[:, :, i : i + stride * l_out : stride] += t[:, i].transpose(1, 0, 2)
-            x._accumulate(gxp[:, :, pad : pad + length] if pad else gxp)
+                gxp[:, :, i : i + stride * l_out : stride] += t[:, i]
+            x._accumulate(gxp[:, :, pad : pad + length].transpose(1, 0, 2))
 
     return Tensor(out, parents=(x, w), backward_fn=bw)
 

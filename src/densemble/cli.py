@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,12 +211,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
     grid = attack_cells(cfg)
     mask = predict(base, test.signals) == test.labels  # scores every cell, as in evaluate
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
-    for name, spec in grid:
-        try:
-            aset = craft_set(test.signals, test.labels, test.ids, mask, spec, base, base_sha)
-            save_attacked_set(aset, out_dir / name)
-        except Exception as exc:
-            raise RuntimeError(f"attack cell {name} failed: {exc}") from exc
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    craft = lambda spec: craft_set(test.signals, test.labels, test.ids, mask, spec, base, base_sha)
+    pool = ThreadPoolExecutor(cpus)  # starts the cells in grid order, cpus at a time
+    try:
+        futures = [pool.submit(craft, spec) for _, spec in grid]
+        for (name, _), future in zip(grid, futures):  # saved in grid order
+            try:
+                save_attacked_set(future.result(), out_dir / name)
+            except Exception as exc:
+                raise RuntimeError(f"attack cell {name} failed: {exc}") from exc
+    finally:  # however the loop ends, the cells not started are dropped
+        pool.shutdown(cancel_futures=True)
     _write_manifest(out_dir, "attack", cfg,
                     {"ensemble_dir": args.ensemble_dir, "out": args.out})
     print(f"crafted {len(grid)} attacked sets in {out_dir}")

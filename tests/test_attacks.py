@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from densemble.config import (
 )
 from densemble.ensemble import ArmRole, train_arm
 from densemble.fourier import band_energy, design_bank
-from densemble.model import forward, predict
+from densemble.model import ArchConfig, forward, init_params, predict
 from densemble.signals import preprocess, split, synthesize
 
 from oracles import smooth_mean_direct
@@ -120,6 +121,26 @@ class TestPgd:
         params, x, y, _ = toy
         spec = AttackSpec.make("pgd", 0.3)
         assert np.array_equal(pgd(params, x, y, spec), pgd(params, x, y, spec))
+
+    def test_traced_peak_holds_one_step_graph(self):
+        # a step's graph is freed before the next step builds its own: for a
+        # 45-row, 3-step attack with the default arch the ceiling lies between
+        # one live step graph (about 11.5 MB) and two (about 19.7 MB)
+        params = init_params(ArchConfig(), np.random.SeedSequence(0))
+        x = np.random.default_rng(0).standard_normal((45, 512))
+        y = np.arange(45) % 3
+        spec = AttackSpec.make("pgd", 0.5, steps=3)
+        pgd(params, x, y, spec)  # first-call allocations are not the attack's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pgd(params, x, y, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        ceiling = 12_500_000
+        assert peak <= ceiling, (f"traced peak of a 45-row 3-step pgd: {peak:,} B, ceiling "
+                                 f"{ceiling:,} B (numpy {np.__version__})")
 
 
 class TestSap:

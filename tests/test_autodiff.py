@@ -119,6 +119,16 @@ class TestScalarOps:
         out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
+    def test_relu_bytes_and_mask(self):
+        # every non-positive input, -0.0 included, becomes +0.0, as
+        # np.where(x > 0, x, 0.0) gives; the adjoint passes only where out > 0
+        x0 = np.array([-0.0, 0.0, -1.5, 2.0, 1e-300, -1e-300])
+        x = ad.Tensor(x0, requires_grad=True)
+        out = ad.relu(x)
+        assert out.data.tobytes() == np.where(x0 > 0, x0, 0.0).tobytes()
+        ad.l2norm_sq(out).backward()
+        assert x.grad.tobytes() == (2.0 * np.where(x0 > 0, x0, 0.0)).tobytes()
+
     def test_l2norm_sq(self):
         assert ad.l2norm_sq(ad.Tensor([3.0, 4.0])).item() == 25.0
 
@@ -191,6 +201,31 @@ class TestScalarOps:
         x = ad.Tensor([2.0], requires_grad=True)
         ad.l2norm_sq(ad.add(x, x)).backward()  # d/dx (2x)^2 = 8x
         assert x.grad[0] == 16.0
+
+    def test_backward_frees_interior_adjoints(self):
+        # once backward has passed an interior node's adjoint on, the node
+        # holds neither it, its closure nor its parents; leaves keep their
+        # gradients
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.normal(size=(3, 2, 9)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+        head = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        const = ad.Tensor(rng.normal(size=(1, 4, 1)))
+        h = ad.relu(ad.add(ad.conv1d(x, w, stride=2, pad=1), const))
+        loss = ad.softmax_cross_entropy(ad.matmul(ad.mean(h, axis=2), head), np.array([0, 2, 1]))
+        interior, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node._parents and all(node is not seen for seen in interior):
+                interior.append(node)
+                stack.extend(node._parents)
+        loss.backward()
+        assert len(interior) == 6  # conv1d, add, relu, mean, matmul, cross entropy
+        for node in interior:
+            assert node.grad is None and node._backward_fn is None and node._parents == ()
+        for leaf in (x, w, head):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        assert const.grad is None
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -337,12 +339,13 @@ def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch,
         assert "copied" not in capsys.readouterr().out
 
 
-def _fail_sap_cells(monkeypatch):
+def _fail_cells(monkeypatch, fails, why):
+    # craft_set raises `why` for every spec that `fails` accepts
     real = cli.craft_set
 
     def craft(x, y, ids, mask, spec, *rest):
-        if spec.family == "sap":
-            raise RuntimeError("no SAP today")
+        if fails(spec):
+            raise RuntimeError(why)
         return real(x, y, ids, mask, spec, *rest)
 
     monkeypatch.setattr(cli, "craft_set", craft)
@@ -352,7 +355,7 @@ def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch,
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
     assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
-    _fail_sap_cells(monkeypatch)
+    _fail_cells(monkeypatch, lambda spec: spec.family == "sap", "no SAP today")
     assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
     err = capsys.readouterr().err
     assert "attack cell sap_eps00 failed: no SAP today" in err and err.count("failed") == 1
@@ -361,6 +364,52 @@ def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch,
     assert cells == [f"pgd_eps{i:02d}" for i in range(len(TINY["attack"]["epsilons"]))]
     for name in cells:  # every cell crafted before the failure is whole
         assert load_attacked_set(tmp_path / "atk" / name).spec.family == "pgd"
+
+
+def _cpus(monkeypatch, n):
+    # attack counts the CPUs it may use by the process's affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
+    # cells crafted side by side on pool threads are the cells a serial loop
+    # crafts; one --out for every run, since run_manifest.json records it
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    trees, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a shared write would show
+    try:
+        for n in (1, 2, 4):  # 4: four pool threads, more than a 2-core host has cores
+            _cpus(monkeypatch, n)
+            assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens",
+                           "--out", "atk") == 0
+            (tmp_path / "atk").rename(tmp_path / f"atk{n}")
+            trees[n] = _tree(tmp_path / f"atk{n}")
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(p.endswith("/index.csv") for p in trees[1]) == 10
+    assert trees[1] == trees[2] == trees[4]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_attack_failure_keeps_grid_order_at_any_cpu_count(workdir, monkeypatch, capsys, cpus):
+    # with one pool thread or several crafting ahead, the cells before
+    # pgd_eps02 are whole, nothing after it is written and no manifest is left
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    eps = TINY["attack"]["epsilons"]
+    _fail_cells(monkeypatch, lambda spec: (spec.family, spec.eps) == ("pgd", eps[2]),
+                "no third epsilon today")
+    _cpus(monkeypatch, cpus)
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    err = capsys.readouterr().err
+    assert "attack cell pgd_eps02 failed: no third epsilon today" in err
+    assert err.count("failed") == 1
+    assert sorted(p.name for p in (tmp_path / "atk").iterdir()) == ["pgd_eps00", "pgd_eps01"]
+    for i, name in enumerate(["pgd_eps00", "pgd_eps01"]):  # whole: every file loads
+        assert load_attacked_set(tmp_path / "atk" / name).spec.eps == eps[i]
 
 
 def test_attack_grid_and_zero_epsilon(workdir):
@@ -992,7 +1041,7 @@ def test_failed_rerun_removes_the_old_manifest(attacked, monkeypatch, capsys):
         assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                        "--attacks", "atk", "--out", "r/report.csv") == 1
     assert not (tmp_path / "r" / "run_manifest.json").exists()
-    _fail_sap_cells(monkeypatch)
+    _fail_cells(monkeypatch, lambda spec: spec.family == "sap", "no SAP today")
     assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
     assert "attack cell sap_eps00 failed: no SAP today" in capsys.readouterr().err
     assert not (tmp_path / "atk" / "run_manifest.json").exists()
