@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ClassifierParams, forward
-from .signals import check_record_id, read_signal, write_signal
-from .storage import read_csv, read_json, write_csv, write_json
+from .signals import check_record_id, read_signal, signal_text
+from .storage import read_csv, read_json, write_bytes, write_csv, write_json
 
 __all__ = [
     "DEFAULT_SAP_KERNELS",
@@ -180,12 +180,13 @@ def craft_set(
     )
 
 
-def save_attacked_set(aset: AttackedSet, out_dir: str | Path) -> None:
-    """Signals, manifest, then ``index.csv``: a cell with an index is complete."""
+def save_attacked_set(aset: AttackedSet, out_dir: str | Path, natural_text: list[bytes]) -> None:
+    """Signals, manifest, then ``index.csv``: a cell with an index is complete.
+    `natural_text` is :func:`signal_text` of each natural row, shared by a grid."""
     out_dir = Path(out_dir)
-    for sub, matrix in (("natural", aset.natural), ("perturbed", aset.perturbed)):
-        for rid, row in zip(aset.ids, matrix):
-            write_signal(out_dir / sub / f"{rid}.txt", row)
+    for rid, text, row in zip(aset.ids, natural_text, aset.perturbed, strict=True):
+        write_bytes(out_dir / "natural" / f"{rid}.txt", text)
+        write_bytes(out_dir / "perturbed" / f"{rid}.txt", signal_text(row))
     manifest = {
         "family": aset.spec.family,
         "epsilon": aset.spec.eps,

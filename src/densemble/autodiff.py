@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small dynamic-graph engine: every op returns a :class:`Tensor` that
-remembers its parents and a closure turning its own adjoint into parent
-adjoints.  All values are float64.  Finiteness is checked at the edges
+A small dynamic-graph engine: every op returns a float64 :class:`Tensor`
+that, if a gradient flows through it, remembers its parents and a closure
+turning its own adjoint into theirs.  Finiteness is checked at the edges
 (leaves here, logits and features in ``model.forward``, gradients in
 ``adam_step`` and the attack step), so a diverging computation fails
 loudly instead of silently producing NaN parameters.  ``.grad`` may alias
@@ -10,7 +10,8 @@ another node's adjoint (``add`` hands one array to both parents, ``mean``
 a read-only view), so no adjoint is ever written in place.  Dense kernels
 (matmul, SVD, FFT) are numpy's.  Convolution runs as im2col GEMMs whose
 operand order and output layout fix the summation order, so its bytes do
-not depend on numpy's einsum path choice.
+not depend on numpy's einsum path choice; :func:`conv_relu` fuses a conv
+block's bias and ReLU into its node.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "l2norm_sq",
     "matmul",
     "conv1d",
+    "conv_relu",
     "softmax_cross_entropy",
     "least_squares_residual",
     "fft",
@@ -47,7 +49,7 @@ class Tensor:
     ``backward()`` may only be called on a scalar and fills ``.grad`` on
     every reachable leaf that requires gradients, then leaves each interior
     node only its data, so a graph is backpropagated once.  Nodes that do
-    not require gradients (frozen features, constants) get no adjoint.
+    not require gradients (frozen features, constants) keep only their data.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -65,8 +67,8 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -260,6 +262,25 @@ def conv1d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
             x._accumulate(gxp[:, :, pad : pad + length].transpose(1, 0, 2))
 
     return Tensor(out, parents=(x, w), backward_fn=bw)
+
+
+def conv_relu(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
+    """relu(conv1d(x, w) + b), b of shape (C',), as one node with the bytes of
+    the three ops: bias and ReLU run in place on the convolution's output."""
+    conv = conv1d(x, w, stride, pad)  # never leaves this function, so it may be overwritten
+    out, conv_bw = conv.data, conv._backward_fn
+    out += b.data.reshape(1, -1, 1)
+    np.maximum(out, 0.0, out=out)
+    out += 0.0  # max(-0.0, 0.0) is -0.0; adding 0.0 makes it +0.0
+
+    def bw(g: np.ndarray) -> None:
+        g = g * (out > 0)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, (1, out.shape[1], 1)).reshape(b.shape))
+        if conv_bw is not None:
+            conv_bw(g)
+
+    return Tensor(out, parents=(x, w, b), backward_fn=bw)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

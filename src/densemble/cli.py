@@ -40,7 +40,7 @@ from .ensemble import (
     train_ensemble,
 )
 from .model import load_params, predict, save_params
-from .signals import load_dataset, preprocess, save_dataset, split, synthesize
+from .signals import load_dataset, preprocess, save_dataset, signal_text, split, synthesize
 from .storage import digest, read_csv, write_bytes, write_csv, write_json
 
 __all__ = ["main", "entry"]
@@ -48,10 +48,6 @@ __all__ = ["main", "entry"]
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, args: dict) -> None:
     write_json(out_dir / "run_manifest.json", {"command": command, "args": args, "config": cfg})
-
-
-def _sha256(data: Path | bytes) -> str:
-    return hashlib.sha256(data if isinstance(data, bytes) else data.read_bytes()).hexdigest()
 
 
 def _load_splits(cfg: dict):
@@ -112,17 +108,19 @@ def _arm_keys(cfg: dict, kind: str, train_digest: str) -> list[str]:
     return keys
 
 
-def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train_digest: str):
-    """Arm k's cache, the `arm{k}.params` bytes it was checked against and the
-    parameters they hold: the cache must record their sha256, have been
-    computed over the current train split, carry the arm key `key` that
-    `_arm_keys` gives for the current config and be named `arm{k}`."""
+def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train_digest: str,
+                   params: bytes | None):
+    """Arm k's cache, the `arm{k}.params` bytes it was checked against (`params`,
+    or read here if None) and the parameters parsed from them: the cache must
+    record their sha256, have been computed over the current train split, carry
+    the arm key `key` that `_arm_keys` gives for the config and be named `arm{k}`."""
     params_path, cache_path = kind_dir / f"arm{k}.params", kind_dir / f"arm{k}.cache"
     for path in (params_path, cache_path):
         if not path.exists():
             raise FileNotFoundError(f"missing artifact: {path}")
-    cache, params = load_cache(cache_path), params_path.read_bytes()
-    for name, current, what in (("params_sha256", _sha256(params), params_path),
+    cache = load_cache(cache_path)
+    params = params_path.read_bytes() if params is None else params
+    for name, current, what in (("params_sha256", hashlib.sha256(params).hexdigest(), params_path),
                                 ("train_digest", train_digest, "the current train split"),
                                 ("arm_key", key, "the current config")):
         if cache.provenance.get(name) != current:
@@ -131,7 +129,7 @@ def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train
         raise ValueError(f"{cache_path}: model_id is {cache.model_id!r}, not 'arm{k}'; retrain")
     if cache.sample_ids != tuple(train_ids):
         raise ValueError(f"{cache_path}: sample_ids differ from the train split")
-    return cache, params, load_params(params_path)
+    return cache, params, load_params(params_path, params)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -155,7 +153,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     for k, key in enumerate(keys):
         for other in (o for o in KINDS if o != kind):
             try:
-                cache, params, _ = _checked_cache(out_root / other, k, key, train.ids, train_digest)
+                cache, params, _ = _checked_cache(out_root / other, k, key, train.ids, train_digest,
+                                                  None)
                 curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
             except (OSError, ValueError):  # absent, damaged, stale or of another config
                 continue
@@ -175,8 +174,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             continue
         params_path = out_dir / f"arm{k}.params"
         save_params(res.params, params_path, model_id=f"arm{k}")
-        provenance = {"arm_key": keys[k], "params_sha256": _sha256(params_path),
-                      "train_digest": train_digest}
+        provenance = {"arm_key": keys[k], "train_digest": train_digest,
+                      "params_sha256": hashlib.sha256(params_path.read_bytes()).hexdigest()}
         save_cache(replace(res.cache, provenance=provenance), out_dir / f"arm{k}.cache")
         _write_curve(out_dir / f"arm{k}_curve.csv", res.curve)
     _write_manifest(out_dir, "train", cfg, {"kind": kind, "out": args.out})
@@ -184,29 +183,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _base_arm(ensemble_dir: Path) -> tuple[list[str], str]:
-    """The kinds trained under `ensemble_dir` and the sha256 of their base
-    arm: every kind trains arm 0 identically, so the parameter files must be
-    byte-identical across kinds."""
-    shas = {k: _sha256(p) for k in KINDS if (p := ensemble_dir / k / "arm0.params").exists()}
-    if not shas:
+def _base_arm(ensemble_dir: Path) -> tuple[list[str], bytes, str]:
+    """The kinds trained under `ensemble_dir`, and the bytes and sha256 of
+    their `arm0.params`: every kind trains arm 0 identically, so the files
+    must be byte-identical across kinds."""
+    blobs = {k: p.read_bytes() for k in KINDS if (p := ensemble_dir / k / "arm0.params").exists()}
+    if not blobs:
         raise FileNotFoundError(f"no trained ensembles under {ensemble_dir}")
-    kinds = list(shas)
-    if odd := [k for k in kinds if shas[k] != shas[kinds[0]]]:
+    kinds = list(blobs)
+    if odd := [k for k in kinds if blobs[k] != blobs[kinds[0]]]:
         a, b = (ensemble_dir / k / "arm0.params" for k in (kinds[0], odd[0]))
         raise RuntimeError(f"base arm differs between ensembles {kinds[0]} and {odd[0]}; "
                            f"retrain with consistent seeds ({a} and {b} differ)")
-    return kinds, shas[kinds[0]]
+    return kinds, blobs[kinds[0]], hashlib.sha256(blobs[kinds[0]]).hexdigest()
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     out_dir = resolve_path(cfg, args.out)
-    kinds, base_sha = _base_arm(ensemble_dir)
+    kinds, arm0, base_sha = _base_arm(ensemble_dir)
     train, test, train_digest = _load_splits(cfg)
     key = _arm_keys(cfg, kinds[0], train_digest)[0]
-    _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, key, train.ids, train_digest)
+    _, _, base = _checked_cache(ensemble_dir / kinds[0], 0, key, train.ids, train_digest, arm0)
 
     grid = attack_cells(cfg)
     mask = predict(base, test.signals) == test.labels  # scores every cell, as in evaluate
@@ -216,9 +215,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     pool = ThreadPoolExecutor(cpus)  # starts the cells in grid order, cpus at a time
     try:
         futures = [pool.submit(craft, spec) for _, spec in grid]
+        natural = [signal_text(row) for row in test.signals]  # every cell writes these bytes
         for (name, _), future in zip(grid, futures):  # saved in grid order
             try:
-                save_attacked_set(future.result(), out_dir / name)
+                save_attacked_set(future.result(), out_dir / name, natural)
             except Exception as exc:
                 raise RuntimeError(f"attack cell {name} failed: {exc}") from exc
     finally:  # however the loop ends, the cells not started are dropped
@@ -234,7 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     attacks_dir = resolve_path(cfg, args.attacks)
     report_path = resolve_path(cfg, args.out)
-    kinds, base_sha = _base_arm(ensemble_dir)
+    kinds, arm0, base_sha = _base_arm(ensemble_dir)
     bank = bank_from_config(cfg)
     train, test, train_digest = _load_splits(cfg)
 
@@ -247,7 +247,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise RuntimeError(f"{attacks_dir / name / 'attack_manifest.json'}: made with another "
                                "attack grid, test split or arm0.params; rerun attack")
         loaded.append((attacks_dir / name, aset))
-    arms = {kind: [_checked_cache(ensemble_dir / kind, k, key, train.ids, train_digest)
+    arms = {kind: [_checked_cache(ensemble_dir / kind, k, key, train.ids, train_digest,
+                                  None if k else arm0)  # arm 0 as _base_arm read it
                    for k, key in enumerate(_arm_keys(cfg, kind, train_digest))] for kind in kinds}
     mask = predict(arms[kinds[0]][0][2], test.signals) == test.labels
     for cell_dir, aset in loaded:

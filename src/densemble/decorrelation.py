@@ -14,6 +14,7 @@ the full training set are cached once and looked up by batch indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -214,7 +215,7 @@ def save_cache(cache: FeatureCache, path) -> None:
 
 
 def load_cache(path) -> FeatureCache:
-    header, arrays = read_container(path)
+    header, arrays = read_container(path, Path(path).read_bytes())
     if header.get("kind") != "feature-cache":
         raise ValueError(f"{path}: not a feature cache file")
     try:  # a missing field or array, or rows that do not match the ids

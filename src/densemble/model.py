@@ -98,12 +98,9 @@ def forward(
         )
     pt = param_tensors if param_tensors is not None else make_param_tensors(params, False)
 
-    n = xt.shape[0]
-    h = ad.reshape(xt, (n, 1, arch.input_length))
-    for i, (c_out, k, stride) in enumerate(arch.conv_blocks):
-        h = ad.conv1d(h, pt[f"conv{i}.w"], stride=stride, pad=k // 2)
-        h = ad.add(h, ad.reshape(pt[f"conv{i}.b"], (1, c_out, 1)))
-        h = ad.relu(h)
+    h = ad.reshape(xt, (xt.shape[0], 1, arch.input_length))
+    for i, (_, k, stride) in enumerate(arch.conv_blocks):
+        h = ad.conv_relu(h, pt[f"conv{i}.w"], pt[f"conv{i}.b"], stride=stride, pad=k // 2)
     pooled = ad.mean(h, axis=2)
     features = ad.relu(ad.add(ad.matmul(pooled, pt["feat.w"]), pt["feat.b"]))
     logits = ad.add(ad.matmul(features, pt["head.w"]), pt["head.b"])
@@ -126,8 +123,8 @@ def save_params(params: ClassifierParams, path, model_id: str) -> None:
     )
 
 
-def load_params(path) -> ClassifierParams:
-    header, arrays = read_container(path)
+def load_params(path, blob: bytes) -> ClassifierParams:
+    header, arrays = read_container(path, blob)
     if header.get("kind") != "classifier-params":
         raise ValueError(f"{path}: not a classifier parameter file")
     try:  # a missing or unknown field, or a non-int size, is refused, never defaulted or coerced

@@ -28,7 +28,7 @@ __all__ = [
     "check_record_id",
     "save_dataset",
     "read_signal",
-    "write_signal",
+    "signal_text",
     "preprocess",
     "split",
 ]
@@ -200,9 +200,9 @@ def read_signal(path: str | Path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def write_signal(path: str | Path, values: np.ndarray) -> None:
+def signal_text(values: np.ndarray) -> bytes:
     """One repr() float per line, so :func:`read_signal` gets every bit back."""
-    write_bytes(path, ("\n".join(map(repr, values.tolist())) + "\n").encode("utf-8"))
+    return ("\n".join(map(repr, values.tolist())) + "\n").encode("utf-8")
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
@@ -211,7 +211,7 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     rows = []
     for rid, label, signal in zip(ds.ids, ds.labels, ds.signals):
         rel = f"signals/{rid}.txt"
-        write_signal(out_dir / rel, signal)
+        write_bytes(out_dir / rel, signal_text(signal))
         rows.append([rid, str(label), rel])
     manifest = out_dir / "manifest.csv"
     write_csv(manifest, MANIFEST_HEADER, rows)

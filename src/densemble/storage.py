@@ -61,8 +61,8 @@ def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray
     write_bytes(path, b"".join([MAGIC, struct.pack(">I", len(hjson)), hjson, *chunks]))
 
 
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
+def read_container(path: str | Path, blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse `blob`, the bytes read from `path`, which names the file in errors."""
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a recognized container file")
     (hlen,) = struct.unpack(">I", blob[4:8])

@@ -1,4 +1,5 @@
-"""Independent reference computations shared by the test modules.
+"""Independent reference computations shared by the test modules, and
+the traced-peak measurement that their memory ceilings use.
 
 Everything here deliberately avoids the library's own backward passes:
 gradients come from central finite differences, regressions from the
@@ -6,6 +7,8 @@ normal equations, metrics from brute-force counting.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -96,3 +99,18 @@ def smooth_mean_direct(rows: np.ndarray, kernels) -> np.ndarray:
     return np.stack([
         np.mean([np.convolve(row, k, mode="same") for k in kernels], axis=0) for row in rows
     ])
+
+
+def assert_traced_peak(what: str, fn, ceiling: int) -> None:
+    """Run `fn` once so first-call allocations are not counted, then again
+    under tracemalloc: its peak above the start must not exceed `ceiling` B."""
+    fn()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling, (f"traced peak of {what}: {peak:,} B, ceiling {ceiling:,} B "
+                             f"(numpy {np.__version__})")

@@ -158,7 +158,8 @@ def test_criterion_3_attack_contracts(pipeline):
     smooth_frac = float(np.mean(per_eps_fracs))
 
     # zero-budget identity, rerun directly on the shared base arm
-    base = load_params(root / "ens" / "cor" / "arm0.params")
+    arm0 = root / "ens" / "cor" / "arm0.params"
+    base = load_params(arm0, arm0.read_bytes())
     aset = load_attacked_set(root / "atk" / "pgd_eps00")
     x, y = aset.natural[:6], aset.labels[:6]
     pgd_id = np.array_equal(pgd(base, x, y, AttackSpec.make("pgd", 0.0)), x)

@@ -108,6 +108,35 @@ class TestConv1d:
         else:
             assert w.grad is None
 
+    # (C, L, C', k, stride, pad): the default model's three blocks and one stride-1 block
+    BLOCKS = [(1, 512, 8, 7, 2, 3), (8, 256, 16, 7, 2, 3), (16, 128, 32, 5, 2, 2),
+              (8, 64, 8, 3, 1, 1)]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("n", [2, 45, 80, 90])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_conv_relu_bytes_equal_separate_ops(self, block, n, x_grad, pool):
+        # the fused block gives the bytes of conv1d, bias add and ReLU run
+        # apart, for its output and every adjoint, whether the adjoint comes
+        # from a pooled head (a broadcast view) or straight from the output
+        c, length, c_out, k, stride, pad = block
+        rng = np.random.default_rng(n * 10 + c)
+        x0, w0, b0 = (rng.normal(size=s) for s in ((n, c, length), (c_out, c, k), (c_out,)))
+        results = []
+        for fused in (False, True):
+            x = ad.Tensor(x0, requires_grad=x_grad)
+            w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+            if fused:
+                h = ad.conv_relu(x, w, b, stride=stride, pad=pad)
+            else:
+                h = ad.relu(ad.add(ad.conv1d(x, w, stride=stride, pad=pad),
+                                   ad.reshape(b, (1, c_out, 1))))
+            ad.l2norm_sq(ad.mean(h, axis=2) if pool else h).backward()
+            results.append([h.data.tobytes(), w.grad.tobytes(), b.grad.tobytes(),
+                            x.grad.tobytes() if x_grad else x.grad])
+        assert results[0] == results[1]
+
     def test_kernel_too_long(self):
         with pytest.raises(ValueError):
             ad.conv1d(ad.Tensor(np.zeros((1, 1, 4))), ad.Tensor(np.zeros((1, 1, 7))), stride=1,
@@ -205,27 +234,33 @@ class TestScalarOps:
     def test_backward_frees_interior_adjoints(self):
         # once backward has passed an interior node's adjoint on, the node
         # holds neither it, its closure nor its parents; leaves keep their
-        # gradients
+        # gradients.  The conv block runs as separate ops, then fused.
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.normal(size=(3, 2, 9)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
-        head = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        const = ad.Tensor(rng.normal(size=(1, 4, 1)))
-        h = ad.relu(ad.add(ad.conv1d(x, w, stride=2, pad=1), const))
-        loss = ad.softmax_cross_entropy(ad.matmul(ad.mean(h, axis=2), head), np.array([0, 2, 1]))
-        interior, stack = [], [loss]
-        while stack:
-            node = stack.pop()
-            if node._parents and all(node is not seen for seen in interior):
-                interior.append(node)
-                stack.extend(node._parents)
-        loss.backward()
-        assert len(interior) == 6  # conv1d, add, relu, mean, matmul, cross entropy
-        for node in interior:
-            assert node.grad is None and node._backward_fn is None and node._parents == ()
-        for leaf in (x, w, head):
-            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
-        assert const.grad is None
+        for fused, count in ((False, 6), (True, 4)):
+            x = ad.Tensor(rng.normal(size=(3, 2, 9)), requires_grad=True)
+            w = ad.Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+            head = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            const = ad.Tensor(rng.normal(size=4))
+            if fused:
+                h = ad.conv_relu(x, w, const, stride=2, pad=1)
+            else:
+                h = ad.relu(ad.add(ad.conv1d(x, w, stride=2, pad=1), ad.reshape(const, (1, 4, 1))))
+            loss = ad.softmax_cross_entropy(ad.matmul(ad.mean(h, axis=2), head),
+                                            np.array([0, 2, 1]))
+            interior, stack = [], [loss]
+            while stack:
+                node = stack.pop()
+                if node._parents and all(node is not seen for seen in interior):
+                    interior.append(node)
+                    stack.extend(node._parents)
+            loss.backward()
+            # conv1d, add, relu or conv_relu; then mean, matmul, cross entropy
+            assert len(interior) == count
+            for node in interior:
+                assert node.grad is None and node._backward_fn is None and node._parents == ()
+            for leaf in (x, w, head):
+                assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+            assert const.grad is None
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

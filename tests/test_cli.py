@@ -464,7 +464,8 @@ def test_attack_runs_one_natural_forward(workdir, monkeypatch):
 def _base_correct(tmp_path):
     """arm0's natural correctness on the test split, as `evaluate` scores it."""
     _, test, _ = cli._load_splits(config.load_config(str(tmp_path / "config.json")))
-    arm0 = model.load_params(tmp_path / "ens" / "cor" / "arm0.params")
+    path = tmp_path / "ens" / "cor" / "arm0.params"
+    arm0 = model.load_params(path, path.read_bytes())
     return test, arm0, model.predict(arm0, test.signals) == test.labels
 
 
@@ -614,10 +615,9 @@ def attacked(workdir):
     return tmp_path, cfg
 
 
-def test_evaluate_reads_each_index_once(attacked, monkeypatch):
-    # every check on a cell's index.csv sits in the one read that loads it;
-    # Path.read_* and the builtin open both open through io.open
-    tmp_path, cfg = attacked
+def _count_opens(monkeypatch) -> list[str]:
+    """Every file opened from now on; Path.read_* and the builtin open both
+    open through io.open."""
     opened, real_open = [], io.open
 
     def counting_open(file, *args, **kwargs):
@@ -626,11 +626,62 @@ def test_evaluate_reads_each_index_once(attacked, monkeypatch):
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+def test_evaluate_reads_each_index_once(attacked, monkeypatch):
+    # every check on a cell's index.csv sits in the one read that loads it
+    tmp_path, cfg = attacked
+    opened = _count_opens(monkeypatch)
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 0
     indexes = sorted(str(p) for p in (tmp_path / "atk").glob("*/index.csv"))
     assert len(indexes) == 10
     assert {p: opened.count(p) for p in indexes} == dict.fromkeys(indexes, 1)
+
+
+def test_attack_and_evaluate_read_each_arm_file_once(attacked, monkeypatch):
+    # the bytes hashed against a cache are the bytes parsed, and the base
+    # arms compared across kinds are read once with them
+    tmp_path, cfg = attacked
+    assert run_cli("train", "--config", cfg, "--kind", "fcor", "--out", "ens") == 0
+    ens, opened = tmp_path / "ens", _count_opens(monkeypatch)
+    for argv, expected in (
+            (("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk"),
+             [ens / k / "arm0.params" for k in ("cor", "fcor")] + [ens / "cor" / "arm0.cache"]),
+            (("evaluate", "--config", cfg, "--ensemble-dir", "ens", "--attacks", "atk",
+              "--out", "r/report.csv"), [*ens.glob("*/arm*.params"), *ens.glob("*/arm*.cache")])):
+        opened.clear()
+        assert run_cli(*argv) == 0
+        arm_files = [p for p in opened if p.endswith((".params", ".cache"))]
+        assert sorted(arm_files) == sorted(map(str, expected)), argv[0]
+
+
+def test_params_swapped_after_the_hash_is_not_scored(attacked, monkeypatch, capsys):
+    # arm1.params is replaced by arm2.params after its bytes are hashed and
+    # before they are parsed, as a concurrent `train --force` could rename a
+    # new file into place: evaluate scores the bytes it checked, or refuses
+    # naming the file
+    tmp_path, cfg = attacked
+    argv = ("evaluate", "--config", cfg, "--ensemble-dir", "ens", "--attacks", "atk",
+            "--out", "r/report.csv")
+    assert run_cli(*argv) == 0
+    report = (tmp_path / "r" / "report.csv").read_bytes()
+    arm1, arm2 = (tmp_path / "ens" / "cor" / f"arm{k}.params" for k in (1, 2))
+    real_load_params = cli.load_params
+
+    def swapping_load_params(path, *blob):  # called once the bytes were hashed
+        if path == arm1:
+            arm1.write_bytes(arm2.read_bytes())
+        return real_load_params(path, *blob)
+
+    monkeypatch.setattr(cli, "load_params", swapping_load_params)
+    code = run_cli(*argv)
+    assert arm1.read_bytes() == arm2.read_bytes()  # the swap happened
+    if code == 1:
+        assert str(arm1) in capsys.readouterr().err
+    else:
+        assert code == 0 and (tmp_path / "r" / "report.csv").read_bytes() == report
 
 
 def test_evaluate_missing_cache_exits_1(attacked, capsys):

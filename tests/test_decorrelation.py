@@ -24,7 +24,7 @@ from densemble.decorrelation import (
 from densemble.model import ArchConfig, forward, init_params
 from densemble.storage import write_container
 
-from oracles import central_diff_grad, normal_equations_residual, rel_err
+from oracles import assert_traced_peak, central_diff_grad, normal_equations_residual, rel_err
 
 
 def decor_cfg(**decor) -> DecorConfig:
@@ -322,6 +322,16 @@ class TestFeatureCache:
         _, feats = forward(params, x)
         assert np.allclose(cache.features, feats.data, atol=1e-12)
         assert cache.sample_ids == tuple(ids)
+
+    def test_traced_peak_of_build_cache(self):
+        # a forward pass without gradients frees each activation once the
+        # next exists: over a 405-row train split with the default arch about
+        # 27.4 MB (64.0 MB with every chunk's graph held to its end)
+        params = init_params(ArchConfig(), np.random.SeedSequence(0))
+        x = np.random.default_rng(0).standard_normal((405, params.arch.input_length))
+        ids = [f"s{i}" for i in range(405)]
+        assert_traced_peak("build_cache over 405 rows",
+                           lambda: build_cache(params, x, ids, "arm0"), 32_000_000)
 
     def test_rebuild_identical(self):
         params = init_params(self.ARCH, 32)

@@ -86,7 +86,7 @@ class TestReaders:
         hjson = json.dumps(meta).encode()
         path.write_bytes(storage.MAGIC + struct.pack(">I", len(hjson)) + hjson + bytes(32))
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad container header: ")):
-            storage.read_container(path)
+            storage.read_container(path, path.read_bytes())
 
 
 def _artifact_writes(tree: ast.AST):
