@@ -103,10 +103,9 @@ def _ascend(params: ClassifierParams, x, y, spec: AttackSpec, render) -> np.ndar
         loss = ad.softmax_cross_entropy(logits, y)
         loss.backward()
         g = leaf.grad
-        if g is None or not np.all(np.isfinite(g)):
-            gmax = None if g is None else float(np.max(np.abs(g)))
+        if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite attack gradient at step {step} "
-                               f"(loss={loss.item()}, max|grad|={gmax})")
+                               f"(loss={loss.item()}, max|grad|={float(np.max(np.abs(g)))})")
         latent = np.clip(latent + spec.alpha * np.sign(g), -spec.eps, spec.eps)
     return x + render(Tensor(latent)).data
 

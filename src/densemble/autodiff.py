@@ -2,16 +2,16 @@
 
 A small dynamic-graph engine: every op returns a float64 :class:`Tensor`
 that, if a gradient flows through it, remembers its parents and a closure
-turning its own adjoint into theirs.  Finiteness is checked at the edges
-(leaves here, logits and features in ``model.forward``, gradients in
-``adam_step`` and the attack step), so a diverging computation fails
-loudly instead of silently producing NaN parameters.  ``.grad`` may alias
-another node's adjoint (``add`` hands one array to both parents, ``mean``
-a read-only view), so no adjoint is ever written in place.  Dense kernels
-(matmul, SVD, FFT) are numpy's.  Convolution runs as im2col GEMMs whose
-operand order and output layout fix the summation order, so its bytes do
-not depend on numpy's einsum path choice; :func:`conv_relu` fuses a conv
-block's bias and ReLU into its node.
+turning its adjoint into theirs, run only if the node needs a gradient.
+Finiteness is checked at the edges (leaves here, logits and features in
+``model.forward``, gradients in ``adam_step`` and the attack step), so a
+diverging computation fails loudly instead of silently producing NaN
+parameters.  ``.grad`` may alias another node's adjoint (``add`` hands one
+array to both parents, ``mean`` a read-only view), so no adjoint is ever
+written in place.  Dense kernels (matmul, SVD, FFT) are numpy's.
+Convolution runs as im2col GEMMs whose operand order and output layout fix
+the summation order, so its bytes do not depend on numpy's einsum path
+choice; :func:`conv_relu` fuses a conv block's bias and ReLU into its node.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(c * g)
+        x._accumulate(c * g)
 
     return Tensor(c * x.data, parents=(x,), backward_fn=bw)
 
@@ -153,8 +152,7 @@ def relu(x: Tensor) -> Tensor:
     out += 0.0  # max(-0.0, 0.0) is -0.0; adding 0.0 makes it +0.0
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (out > 0))
+        x._accumulate(g * (out > 0))
 
     return Tensor(out, parents=(x,), backward_fn=bw)
 
@@ -165,8 +163,7 @@ def log(x: Tensor) -> Tensor:
     inv = 1.0 / x.data
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * inv)
+        x._accumulate(g * inv)
 
     return Tensor(np.log(x.data), parents=(x,), backward_fn=bw)
 
@@ -175,8 +172,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = x.shape
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g.reshape(old))
+        x._accumulate(g.reshape(old))
 
     return Tensor(x.data.reshape(shape), parents=(x,), backward_fn=bw)
 
@@ -187,8 +183,7 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
         cnt = x.data.size
 
         def bw(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x._accumulate(np.full_like(x.data, float(g) / cnt))
+            x._accumulate(np.full_like(x.data, float(g) / cnt))
 
         return Tensor(x.data.mean(), parents=(x,), backward_fn=bw)
 
@@ -196,8 +191,7 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     cnt = x.data.shape[ax]
 
     def bw_ax(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, ax) / cnt, x.shape))
+        x._accumulate(np.broadcast_to(np.expand_dims(g, ax) / cnt, x.shape))
 
     return Tensor(x.data.mean(axis=ax), parents=(x,), backward_fn=bw_ax)
 
@@ -206,8 +200,7 @@ def l2norm_sq(x: Tensor) -> Tensor:
     val = float(np.sum(x.data * x.data))
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(2.0 * float(g) * x.data)
+        x._accumulate(2.0 * float(g) * x.data)
 
     return Tensor(val, parents=(x,), backward_fn=bw)
 
@@ -302,10 +295,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     loss = float(np.mean(lse - z[np.arange(n), y]))
 
     def bw(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            gz = sm.copy()
-            gz[np.arange(n), y] -= 1.0
-            logits._accumulate(float(g) * gz / n)
+        gz = sm.copy()
+        gz[np.arange(n), y] -= 1.0
+        logits._accumulate(float(g) * gz / n)
 
     return Tensor(loss, parents=(logits,), backward_fn=bw)
 

@@ -139,11 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = out_root / kind
     existing = sorted(p.name for p in out_dir.glob("arm*.params"))
     if existing and not args.force:
-        print(
-            f"refusing to overwrite {out_dir} ({', '.join(existing)}); use --force",
-            file=sys.stderr,
-        )
-        return 1
+        raise RuntimeError(f"refusing to overwrite {out_dir} ({', '.join(existing)}); use --force")
 
     train, _, train_digest = _load_splits(cfg)
     keys = _arm_keys(cfg, kind, train_digest)
@@ -172,10 +168,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             write_bytes(out_dir / f"arm{k}_curve.csv", curve)
             print(f"arm{k}: copied from {Path(args.out) / other} (key {keys[k][:8]})")
             continue
-        params_path = out_dir / f"arm{k}.params"
-        save_params(res.params, params_path, model_id=f"arm{k}")
+        blob = save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
         provenance = {"arm_key": keys[k], "train_digest": train_digest,
-                      "params_sha256": hashlib.sha256(params_path.read_bytes()).hexdigest()}
+                      "params_sha256": hashlib.sha256(blob).hexdigest()}
         save_cache(replace(res.cache, provenance=provenance), out_dir / f"arm{k}.cache")
         _write_curve(out_dir / f"arm{k}_curve.csv", res.curve)
     _write_manifest(out_dir, "train", cfg, {"kind": kind, "out": args.out})

@@ -98,11 +98,6 @@ def pair_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, step_seed) -> Tensor
     """
     if zk.ndim != 2 or zi.ndim != 2 or zk.shape[0] != zi.shape[0]:
         raise ValueError("pair_loss needs two feature batches with equal row counts")
-    n = zk.shape[0]
-    if n <= cfg.projection_dim + 1:
-        raise ValueError(
-            f"batch of {n} rows is too small for projection dim {cfg.projection_dim}"
-        )
     rng = np.random.default_rng(step_seed)
     if rng.random() < 0.5:  # project the frozen side
         proj = draw_projection(zi.shape[1], cfg.projection_dim, rng)

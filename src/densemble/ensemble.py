@@ -170,15 +170,6 @@ def _arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank) -> np.ndarray:
     return x if role.band is None else apply_band(bank, role.band, x)
 
 
-def _check_decor_batches(n: int, arch: ArchConfig, cfg: TrainConfig, decor: DecorConfig) -> None:
-    min_batch = min(cfg.batch_size, n)
-    for what, name, dim in (("decorrelation", "projection_dim", decor.projection_dim),
-                            ("decorrelation regression", "feature_dim", arch.feature_dim)):
-        if min_batch <= dim + 1:
-            raise ValueError(f"{what} needs batches larger than {name}+1={dim + 1}, "
-                             f"got {min_batch}")
-
-
 def train_arm(
     k: int,
     role: ArmRole,
@@ -200,8 +191,6 @@ def train_arm(
     """
     n = train_x.shape[0]
     view = _arm_view(train_x, role, bank)
-    if caches:
-        _check_decor_batches(n, arch, cfg, decor_cfg)
 
     params = init_params(arch, np.random.SeedSequence([cfg.init_seed, k]))
     state = AdamState.init(params.tensors)
@@ -250,10 +239,12 @@ def train_ensemble(
     roles = arm_roles(kind)
     results: list[ArmResult | None] = []
     caches: list[FeatureCache] = []
+    batch = min(cfg.batch_size, train_x.shape[0])  # every regressor has feature_dim columns
     try:
         for k, role in enumerate(roles):  # check every arm's batches before any trains
-            if role.decorrelates(decor_cfg):
-                _check_decor_batches(train_x.shape[0], arch, cfg, decor_cfg)
+            if role.decorrelates(decor_cfg) and batch <= arch.feature_dim + 1:
+                raise ValueError("decorrelation regression needs batches larger than "
+                                 f"feature_dim+1={arch.feature_dim + 1}, got {batch}")
         for k, role in enumerate(roles):
             res = None if k in known else train_arm(
                 k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,

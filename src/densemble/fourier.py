@@ -80,8 +80,7 @@ def apply_band(bank: RingFilterBank, j: int, x):
         out = _filter_values(bank, j, x.data)
 
         def bw(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x._accumulate(_filter_values(bank, j, g))
+            x._accumulate(_filter_values(bank, j, g))
 
         return Tensor(out, parents=(x,), backward_fn=bw)
     return _filter_values(bank, j, np.asarray(x, dtype=np.float64))

@@ -115,8 +115,8 @@ def predict(params: ClassifierParams, x) -> np.ndarray:
     return np.argmax(logits.data, axis=1)
 
 
-def save_params(params: ClassifierParams, path, model_id: str) -> None:
-    write_container(
+def save_params(params: ClassifierParams, path, model_id: str) -> bytes:
+    return write_container(
         path,
         {"kind": "classifier-params", "model_id": model_id, "arch": asdict(params.arch)},
         params.tensors,

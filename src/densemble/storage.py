@@ -34,18 +34,19 @@ __all__ = ["write_bytes", "write_container", "read_container", "write_json", "re
            "write_csv", "read_csv", "digest", "FORMAT_VERSION"]
 
 
-def write_bytes(path: str | Path, data: bytes) -> None:
+def write_bytes(path: str | Path, data: bytes) -> bytes:
     """Write `data` whole, creating the parent directory: into
-    ``<name>.tmp`` first, then renamed over `path`."""
+    ``<name>.tmp`` first, then renamed over `path`.  Returns `data`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+    return data
 
 
-def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> bytes:
     index = []
     chunks = []
     offset = 0
@@ -58,7 +59,7 @@ def write_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray
         offset += len(buf)
     meta = {"format_version": FORMAT_VERSION, **header, "arrays": index}
     hjson = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_bytes(path, b"".join([MAGIC, struct.pack(">I", len(hjson)), hjson, *chunks]))
+    return write_bytes(path, b"".join([MAGIC, struct.pack(">I", len(hjson)), hjson, *chunks]))
 
 
 def read_container(path: str | Path, blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from densemble import autodiff as ad
+from densemble.fourier import apply_band, design_bank
 
 from oracles import (
     central_diff_grad,
@@ -143,6 +144,21 @@ class TestConv1d:
                       pad=1)
 
 
+# The ops whose node has one parent, so it needs a gradient exactly when
+# its input does; on a (3, 4) input of positive values.
+SINGLE_PARENT_OPS = {
+    "scale": lambda x: ad.scale(x, 2.0),
+    "relu": ad.relu,
+    "log": ad.log,
+    "reshape": lambda x: ad.reshape(x, (4, 3)),
+    "mean": ad.mean,
+    "mean_axis": lambda x: ad.mean(x, axis=1),
+    "l2norm_sq": ad.l2norm_sq,
+    "softmax_cross_entropy": lambda x: ad.softmax_cross_entropy(x, np.arange(3)),
+    "apply_band": lambda x: apply_band(design_bank(4, 0.25, 0.0), 0, x),
+}
+
+
 class TestScalarOps:
     def test_relu(self):
         out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
@@ -265,6 +281,13 @@ class TestScalarOps:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             ad.Tensor(np.ones(3), requires_grad=True).backward()
+
+    @pytest.mark.parametrize("op", SINGLE_PARENT_OPS.values(), ids=SINGLE_PARENT_OPS.keys())
+    def test_single_parent_closure_only_when_the_input_needs_a_gradient(self, op):
+        # so a closure that runs may take its input's gradient without asking
+        x0 = np.arange(1.0, 13.0).reshape(3, 4)
+        assert op(ad.Tensor(x0))._backward_fn is None
+        assert op(ad.Tensor(x0, requires_grad=True))._backward_fn is not None
 
 
 class TestSoftmaxCrossEntropy:

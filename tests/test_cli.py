@@ -684,6 +684,32 @@ def test_params_swapped_after_the_hash_is_not_scored(attacked, monkeypatch, caps
         assert code == 0 and (tmp_path / "r" / "report.csv").read_bytes() == report
 
 
+def test_params_replaced_after_the_write_are_not_scored(workdir, monkeypatch, capsys):
+    # arm1.params is replaced by arm 0's bytes right after train writes it, as
+    # a concurrent writer could: the cache holds the hash of the bytes train
+    # wrote, not of the file read back, so evaluate refuses to score arm 0 as arm 1
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    real = cli.save_params
+
+    def save(params, path, model_id):
+        blob = real(params, path, model_id=model_id)
+        if model_id == "arm1":
+            path.write_bytes((path.parent / "arm0.params").read_bytes())
+        return blob
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "save_params", save)
+        assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    d = tmp_path / "ens" / "cor"
+    assert (f"{d / 'arm1.cache'}: params_sha256 differs from {d / 'arm1.params'}; retrain"
+            in capsys.readouterr().err)
+
+
 def test_evaluate_missing_cache_exits_1(attacked, capsys):
     tmp_path, cfg = attacked
     cache = tmp_path / "ens" / "cor" / "arm1.cache"
@@ -1060,7 +1086,7 @@ def test_failed_train_force_leaves_no_manifest_and_no_mix(workdir, monkeypatch, 
     def save(params, path, model_id):
         if model_id == "arm2":
             raise OSError("disk full")
-        real(params, path, model_id=model_id)
+        return real(params, path, model_id=model_id)
 
     with monkeypatch.context() as m:
         m.setattr(cli, "save_params", save)

@@ -201,7 +201,7 @@ class TestPairLoss:
             assert np.any(zk.grad != 0)
 
     def test_batch_too_small(self):
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(ValueError, match="underdetermined"):
             pair_loss(Tensor(np.ones((6, 8))), np.ones((6, 8)), CFG, 0)
 
 

@@ -223,9 +223,19 @@ class TestTraining:
         base = train_arm(0, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
                          SMALL_DECOR, [], BANK)
         small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
-        with pytest.raises(ValueError, match="projection_dim"):
+        with pytest.raises(ValueError, match="underdetermined"):
             train_arm(1, ArmRole(None, True), x, y, ids, ARCH, small_batches,
                       SMALL_DECOR, [base.cache], BANK)
+
+    def test_decor_batch_rule_names_the_binding_bound(self, small_data):
+        # projection_dim 8 <= feature_dim 12, so the regressor's 12 columns bind
+        train, _ = small_data
+        x, y, ids = train.signals, train.labels, train.ids
+        small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "arm 1 of dec failed: decorrelation regression needs batches larger than "
+                "feature_dim+1=13, got 9")):
+            train_ensemble("dec", x, y, ids, ARCH, small_batches, SMALL_DECOR, BANK, {})
 
     def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
         train, _ = small_data
