@@ -58,9 +58,12 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in ("pgd", "sap"):
             raise ValueError(f"family: unknown attack family {self.family!r}")
-        for name, low in (("eps", 0), ("alpha", 0), ("steps", 1)):
-            if not isinstance(value := getattr(self, name), (int, float)) or value < low:
-                raise ValueError(f"{name}: must be >= {low}, got {value!r}")
+        for name, low, kinds in (("eps", 0, (int, float)), ("alpha", 0, (int, float)),
+                                 ("steps", 1, int)):
+            value = getattr(self, name)  # a bool is an int, and JSON true == 1.0
+            if isinstance(value, bool) or not isinstance(value, kinds) or value < low:
+                what = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{name}: must be {what} >= {low}, got {value!r}")
         if (self.family == "sap") != bool(self.kernel_bank):
             raise ValueError(f"kernel_bank: sap needs kernels, pgd none; got {self.kernel_bank!r}")
         for s, sigma in self.kernel_bank:
@@ -81,11 +84,8 @@ class AttackSpec:
 
 
 def gaussian_kernel(s: int, sigma: float) -> np.ndarray:
-    """Discretized Gaussian of odd width s, centered, normalized to sum 1."""
-    if s < 1 or s % 2 == 0:
-        raise ValueError("kernel width must be a positive odd integer")
-    if sigma <= 0:
-        raise ValueError("kernel std must be positive")
+    """Discretized Gaussian of odd width s, centered, normalized to sum 1;
+    :class:`AttackSpec` checks the width and the positive std."""
     d = np.arange(s) - (s - 1) / 2.0
     k = np.exp(-0.5 * (d / sigma) ** 2)
     return k / k.sum()

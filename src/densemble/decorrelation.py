@@ -6,6 +6,8 @@ that explained variance down.  To keep the regression cheap and
 overdetermined at practical batch sizes, one side is compressed through
 a fresh Gaussian random projection every step, and which side plays the
 regressor is a per-step coin flip, so no fixed subspace can be gamed.
+One coin flip and one projection per step are shared by every earlier
+model the step regresses against.
 
 Previously trained models never run during training: their features over
 the full training set are cached once and looked up by batch indices.
@@ -29,10 +31,7 @@ __all__ = [
     "FeatureCache",
     "correlation_r2",
     "decor_loss",
-    "draw_projection",
-    "pair_loss",
     "ensemble_decor_loss",
-    "total_loss",
     "build_cache",
     "save_cache",
     "load_cache",
@@ -80,32 +79,6 @@ def decor_loss(zr: Tensor, zt: Tensor, stab_eps: float) -> Tensor:
     return ad.add(log_tot, ad.scale(log_res, -1.0))
 
 
-def draw_projection(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """(d, r) matrix of i.i.d. N(0, 1/sqrt(d)) entries drawn from `rng`."""
-    if r > d:
-        raise ValueError(f"projection dim {r} exceeds feature dim {d}")
-    return rng.normal(0.0, 1.0 / np.sqrt(d), (d, r))
-
-
-def pair_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, step_seed) -> Tensor:
-    """Randomized decorrelation loss between the training model's batch
-    features `zk` and a frozen feature batch `zi`.
-
-    A coin flip (from `step_seed`) picks which side is compressed: either
-    `zi` is projected and regressed on `zk`, or `zk` is projected and
-    regressed on frozen `zi`.  The projected side is always the
-    regression target; projection is right-multiplication (N,D)@(D,r).
-    """
-    if zk.ndim != 2 or zi.ndim != 2 or zk.shape[0] != zi.shape[0]:
-        raise ValueError("pair_loss needs two feature batches with equal row counts")
-    rng = np.random.default_rng(step_seed)
-    if rng.random() < 0.5:  # project the frozen side
-        proj = draw_projection(zi.shape[1], cfg.projection_dim, rng)
-        return decor_loss(zk, Tensor(zi @ proj), cfg.stab_eps)
-    proj = draw_projection(zk.shape[1], cfg.projection_dim, rng)
-    return decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps)
-
-
 # Header fields tying a saved cache to its arm: the arm's key, the sha256 of
 # the arm{k}.params beside it and the digest of the train split.
 PROVENANCE = ("arm_key", "params_sha256", "train_digest")
@@ -143,37 +116,24 @@ def ensemble_decor_loss(
     cfg: DecorConfig,
     step_seed,
 ) -> Tensor:
-    """Arithmetic mean of pair_loss against every previously trained model.
+    """Mean decorrelation loss of the training model's batch features `zk`
+    against the frozen features of every previously trained model.
 
-    All pairs share the same per-step seed, so one coin flip and one
-    projection draw govern the whole step.
-    """
-    if not caches:
-        raise ValueError("ensemble_decor_loss needs at least one previous model")
-    terms = [pair_loss(zk, c.rows(batch_indices), cfg, step_seed) for c in caches]
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
-
-
-def total_loss(
-    logits: Tensor,
-    labels,
-    zk: Tensor,
-    caches: Sequence[FeatureCache],
-    batch_indices,
-    cfg: DecorConfig,
-    step_seed,
-) -> tuple[Tensor, Tensor, Tensor | None]:
-    """Cross entropy plus weighted decorrelation, returned as
-    ``(loss, ce, cor)``; with weight 0 (or no previous models) the loss
-    is exactly the cross entropy and ``cor`` is None."""
-    ce = ad.softmax_cross_entropy(logits, labels)
-    if cfg.weight == 0.0 or not caches:
-        return ce, ce, None
-    cor = ensemble_decor_loss(zk, caches, batch_indices, cfg, step_seed)
-    return ad.add(ce, ad.scale(cor, cfg.weight)), ce, cor
+    One coin flip and one (D, projection_dim) matrix of N(0, 1/sqrt(D))
+    entries, both drawn from `step_seed`, govern the whole step: either
+    each frozen batch is projected and regressed on `zk`, or `zk` is
+    projected and regressed on each frozen batch."""
+    rng = np.random.default_rng(step_seed)
+    project_frozen = rng.random() < 0.5
+    d = zk.shape[1]
+    proj = rng.normal(0.0, 1.0 / np.sqrt(d), (d, cfg.projection_dim))
+    total = None
+    for cache in caches:
+        zi = cache.rows(batch_indices)
+        term = (decor_loss(zk, Tensor(zi @ proj), cfg.stab_eps) if project_frozen
+                else decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps))
+        total = term if total is None else ad.add(total, term)
+    return ad.scale(total, 1.0 / len(caches))
 
 
 def build_cache(

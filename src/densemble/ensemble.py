@@ -21,12 +21,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .decorrelation import (
     DecorConfig,
     FeatureCache,
     build_cache,
     correlation_r2,
-    total_loss,
+    ensemble_decor_loss,
 )
 from .fourier import RingFilterBank, apply_band
 from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors, predict
@@ -203,10 +204,11 @@ def train_arm(
         for bidx in batch_schedule(n, cfg.batch_size, perm):
             pt = make_param_tensors(params, requires_grad=True)
             logits, feats = forward(params, view[bidx], param_tensors=pt)
-            step_seed = np.random.SeedSequence([decor_cfg.seed, k, step])
-            loss, ce, cor = total_loss(logits, train_y[bidx], feats, caches, bidx, decor_cfg,
-                                       step_seed)
-            if cor is not None:
+            loss = ce = ad.softmax_cross_entropy(logits, train_y[bidx])
+            if caches:
+                cor = ensemble_decor_loss(feats, caches, bidx, decor_cfg,
+                                          np.random.SeedSequence([decor_cfg.seed, k, step]))
+                loss = ad.add(ce, ad.scale(cor, decor_cfg.weight))
                 cor_vals.append(cor.item())
             loss.backward()
             grads = {name: t.grad for name, t in pt.items()}

@@ -184,8 +184,12 @@ def check_record_id(rid: str, seen: set[str], where: str) -> None:
 
 def read_signal(path: str | Path) -> np.ndarray:
     """One finite float per line; a bad value fails as ``path:line``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     values = []
-    for ln, line in enumerate(Path(path).read_text().split("\n"), 1):
+    for ln, line in enumerate(text.split("\n"), 1):
         if not (line := line.strip()):
             continue
         try:

@@ -102,7 +102,7 @@ def write_json(path: str | Path, obj) -> None:
 
 def read_json(path: str | Path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:  # bad JSON, or bytes that are not text
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
@@ -115,12 +115,16 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """(line, row) pairs after `header`; a bad header, no rows or a bad width fail."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise ValueError(f"{path}: header must be {','.join(header)}")
-        rows = [(reader.line_num, row) for row in reader]
+    """(line, row) pairs after `header`; a bad header, no rows, a bad width or
+    bytes that are not UTF-8 fail."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(header):
+                raise ValueError(f"{path}: header must be {','.join(header)}")
+            rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise ValueError(f"{path}: no records")
     for ln, row in rows:

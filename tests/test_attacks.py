@@ -74,10 +74,6 @@ class TestGaussianKernel:
         ref /= ref.sum()
         assert np.allclose(k, ref, atol=1e-15)
 
-    def test_even_width_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel(4, 1.0)
-
 
 class TestPgd:
     def test_zero_budget_identity(self, toy):
@@ -281,3 +277,17 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20,
                        kernel_bank=((4, 1.0),))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.25])
+    def test_non_positive_kernel_std_rejected(self, sigma):
+        with pytest.raises(ValueError, match="kernel_bank: "):
+            AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20, kernel_bank=((5, sigma),))
+
+    @pytest.mark.parametrize("name, value", [
+        ("eps", True), ("alpha", False), ("steps", True), ("steps", 2.0), ("eps", "1.0"),
+    ])
+    def test_bool_or_non_integer_steps_rejected(self, name, value):
+        # a bool is an int, and True == 1.0: the spec refuses it as the config does
+        fields = dict(family="pgd", eps=1.0, alpha=0.1, steps=2, kernel_bank=())
+        with pytest.raises(ValueError, match=f"{name}: must be "):
+            AttackSpec(**{**fields, name: value})

@@ -836,7 +836,9 @@ def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsy
     ("sap_eps00", "alpha", None),  # once filled with eps * 0.1
     ("pgd_eps00", "kernel_bank", [[5, 1.25]]),  # once dropped
     ("pgd_eps01", "target_model_id", "arm7"),
-], ids=["alpha", "kernel_bank", "target_model_id"])
+    ("pgd_eps03", "epsilon", True),  # once read as the cell's 1.0
+    ("pgd_eps01", "steps", 2.0),  # once read as the grid's 2 steps
+], ids=["alpha", "kernel_bank", "target_model_id", "epsilon_bool", "steps_float"])
 def test_evaluate_reads_attack_manifest_as_written(attacked, capsys, cell, key, value):
     tmp_path, cfg = attacked
     manifest = tmp_path / "atk" / cell / "attack_manifest.json"
@@ -845,7 +847,38 @@ def test_evaluate_reads_attack_manifest_as_written(attacked, capsys, cell, key, 
     manifest.write_text(json.dumps(fields))
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
-    assert f"{manifest}: {key}: " in capsys.readouterr().err
+    field = "eps" if key == "epsilon" else key  # the spec's name for the value
+    assert f"{manifest}: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def _put_non_utf8_byte(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:5] + b"\xff" + blob[5:])
+
+
+@pytest.mark.parametrize("which", ["signal", "manifest"])
+def test_undecodable_dataset_file_names_itself(workdir, capsys, which):
+    # the bare codec error once named no file
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    data = tmp_path / "data"
+    path = data / "manifest.csv" if which == "manifest" else sorted(data.glob("signals/*"))[3]
+    _put_non_utf8_byte(path)
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+    assert not (tmp_path / "ens").exists()
+
+
+@pytest.mark.parametrize("which", ["perturbed", "index"])
+def test_undecodable_attacked_set_file_names_itself(attacked, capsys, which):
+    tmp_path, cfg = attacked
+    cell = tmp_path / "atk" / "sap_eps02"
+    path = cell / "index.csv" if which == "index" else sorted(cell.glob("perturbed/*"))[3]
+    _put_non_utf8_byte(path)
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
     assert not (tmp_path / "r").exists()
 
 

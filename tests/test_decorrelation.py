@@ -14,12 +14,9 @@ from densemble.decorrelation import (
     build_cache,
     correlation_r2,
     decor_loss,
-    draw_projection,
     ensemble_decor_loss,
     load_cache,
-    pair_loss,
     save_cache,
-    total_loss,
 )
 from densemble.model import ArchConfig, forward, init_params
 from densemble.storage import write_container
@@ -34,16 +31,49 @@ def decor_cfg(**decor) -> DecorConfig:
 
 CFG = decor_cfg(projection_dim=5, seed=9)
 
-# Step seeds whose coin (the first draw of pair_loss) projects the frozen
-# side, and the current side.
+# Step seeds whose coin (the first draw of ensemble_decor_loss) projects the
+# frozen side, and the current side.
 FROZEN_SEED, LIVE_SEED = 3, 0
 
 
 def replayed_projection(seed, d: int, r: int) -> np.ndarray:
-    """The projection pair_loss draws from `seed`: the coin, then (d, r)."""
+    """The projection ensemble_decor_loss draws from `seed`: the coin, then
+    a (d, r) matrix of N(0, 1/sqrt(d)) entries."""
     rng = np.random.default_rng(seed)
     rng.random()
-    return draw_projection(d, r, rng)
+    return rng.normal(0.0, 1.0 / np.sqrt(d), (d, r))
+
+
+def _cache_from(matrix, model_id="arm0"):
+    ids = tuple(f"s{i}" for i in range(matrix.shape[0]))
+    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix, provenance={})
+
+
+def one_cache_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, seed) -> Tensor:
+    """ensemble_decor_loss against the one frozen batch `zi`, row for row."""
+    return ensemble_decor_loss(zk, [_cache_from(zi)], np.arange(len(zi)), cfg, seed)
+
+
+@pytest.fixture()
+def generators(monkeypatch):
+    """Every np.random.default_rng built from now on, each recording the
+    arrays its normal() returns."""
+    built, real = [], np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed=None):
+            self.rng, self.normals = real(seed), []
+            built.append(self)
+
+        def random(self, *args, **kwargs):
+            return self.rng.random(*args, **kwargs)
+
+        def normal(self, *args, **kwargs):
+            self.normals.append(self.rng.normal(*args, **kwargs))
+            return self.normals[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return built
 
 
 class TestCorrelationR2:
@@ -119,31 +149,36 @@ class TestDecorLoss:
         assert losses[-1] < 1e-6
 
 
-class TestDrawProjection:
-    def test_shape(self):
-        assert draw_projection(64, 50, np.random.default_rng(1)).shape == (64, 50)
-
-    def test_entry_std(self):
-        r = draw_projection(64, 50, np.random.default_rng(2))
-        big = np.concatenate([draw_projection(64, 50, np.random.default_rng(s)).ravel()
-                              for s in range(320)])
-        assert big.size >= 1_000_000
-        assert abs(big.std() - 0.125) / 0.125 < 0.01
-        assert r.shape == (64, 50)
-
-    def test_distinct_seeds(self):
-        assert not np.array_equal(draw_projection(8, 4, np.random.default_rng(1)),
-                                  draw_projection(8, 4, np.random.default_rng(2)))
-
-    def test_r_exceeds_d(self):
-        with pytest.raises(ValueError):
-            draw_projection(4, 5, np.random.default_rng(0))
-
-
-class TestPairLoss:
+class TestEnsembleDecorLoss:
     def test_seeds_land_each_way(self):
         assert np.random.default_rng(FROZEN_SEED).random() < 0.5
         assert np.random.default_rng(LIVE_SEED).random() >= 0.5
+
+    def test_one_generator_and_one_projection_per_step(self, generators):
+        # the coin and the (D, r) projection are drawn once, however many
+        # earlier models the step regresses against
+        rng = np.random.default_rng(61)
+        zk, f0, f1 = (rng.normal(size=(20, 6)) for _ in range(3))
+        caches = [_cache_from(f0, "arm0"), _cache_from(f1, "arm1")]
+        for seed in (FROZEN_SEED, LIVE_SEED):
+            del generators[:]
+            ensemble_decor_loss(Tensor(zk), caches, np.arange(20), CFG, seed)
+            assert len(generators) == 1
+            assert [p.shape for p in generators[0].normals] == [(6, 5)]
+
+    def test_projection_entries(self, generators):
+        # N(0, 1/sqrt(D)) entries: D=64, r=50, 320 steps of 3,200 entries
+        rng = np.random.default_rng(62)
+        zk, frozen = Tensor(rng.normal(size=(80, 64))), rng.normal(size=(80, 64))
+        cfg = decor_cfg(projection_dim=50, seed=0)
+        del generators[:]
+        for s in range(320):
+            one_cache_loss(zk, frozen, cfg, s)
+        big = np.concatenate([g.normals[0].ravel() for g in generators])
+        assert big.size >= 1_000_000
+        assert abs(big.mean()) < 0.001
+        assert abs(big.std() - 0.125) / 0.125 < 0.01
+        assert not np.array_equal(generators[1].normals[0], generators[2].normals[0])
 
     def test_frozen_twin_matches_self_regression(self):
         # both branches compute the self-regression value of their draw
@@ -151,7 +186,7 @@ class TestPairLoss:
         z = rng.normal(size=(20, 8))
         zk = Tensor(z.copy(), requires_grad=True)
         for seed in (FROZEN_SEED, LIVE_SEED):
-            loss = pair_loss(zk, z.copy(), CFG, seed)
+            loss = one_cache_loss(zk, z.copy(), CFG, seed)
             proj = replayed_projection(seed, 8, 5)
             direct = decor_loss(Tensor(z), Tensor(z @ proj), CFG.stab_eps)
             assert abs(loss.item() - direct.item()) < 1e-9
@@ -160,10 +195,10 @@ class TestPairLoss:
         rng = np.random.default_rng(48)
         zk0 = rng.normal(size=(20, 6))
         zi = rng.normal(size=(20, 6))
-        frozen = pair_loss(Tensor(zk0), zi, CFG, FROZEN_SEED)
+        frozen = one_cache_loss(Tensor(zk0), zi, CFG, FROZEN_SEED)
         proj = replayed_projection(FROZEN_SEED, 6, 5)
         assert frozen.item() == decor_loss(Tensor(zk0), Tensor(zi @ proj), 1e-5).item()
-        live = pair_loss(Tensor(zk0), zi, CFG, LIVE_SEED)
+        live = one_cache_loss(Tensor(zk0), zi, CFG, LIVE_SEED)
         proj = replayed_projection(LIVE_SEED, 6, 5)
         assert live.item() == decor_loss(Tensor(zi), Tensor(zk0 @ proj), 1e-5).item()
 
@@ -175,7 +210,7 @@ class TestPairLoss:
         zk = Tensor(rng.normal(size=(8, 3)) + 1.0)
         zi = np.zeros((8, 3))
         frozen_branch = [
-            pair_loss(zk, zi, cfg, np.random.SeedSequence([11, s])).item() == 0.0
+            one_cache_loss(zk, zi, cfg, np.random.SeedSequence([11, s])).item() == 0.0
             for s in range(10_000)
         ]
         assert abs(np.mean(frozen_branch) - 0.5) < 0.02
@@ -188,7 +223,7 @@ class TestPairLoss:
         b = rng.normal(size=(20, 6))
         for seed, zk, zi in ((FROZEN_SEED, a, b), (LIVE_SEED, b, a)):
             direct = decor_loss(Tensor(a), Tensor(b @ replayed_projection(seed, 6, 5)), 1e-5)
-            assert abs(pair_loss(Tensor(zk), zi, CFG, seed).item() - direct.item()) < 1e-12
+            assert abs(one_cache_loss(Tensor(zk), zi, CFG, seed).item() - direct.item()) < 1e-12
 
     def test_gradient_reaches_current_not_frozen(self):
         rng = np.random.default_rng(50)
@@ -196,28 +231,27 @@ class TestPairLoss:
         frozen = rng.normal(size=(20, 6))
         for seed in (FROZEN_SEED, LIVE_SEED):
             zk.grad = None
-            pair_loss(zk, frozen, CFG, seed).backward()
+            one_cache_loss(zk, frozen, CFG, seed).backward()
             assert zk.grad is not None
             assert np.any(zk.grad != 0)
 
     def test_batch_too_small(self):
         with pytest.raises(ValueError, match="underdetermined"):
-            pair_loss(Tensor(np.ones((6, 8))), np.ones((6, 8)), CFG, 0)
+            one_cache_loss(Tensor(np.ones((6, 8))), np.ones((6, 8)), CFG, 0)
 
+    def test_rows_must_match_the_batch(self):
+        cache = _cache_from(np.ones((30, 6)))
+        for seed in (FROZEN_SEED, LIVE_SEED):
+            with pytest.raises(ValueError, match="row mismatch"):
+                ensemble_decor_loss(Tensor(np.ones((20, 6))), [cache], np.arange(19), CFG, seed)
 
-def _cache_from(matrix, model_id="arm0"):
-    ids = tuple(f"s{i}" for i in range(matrix.shape[0]))
-    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix, provenance={})
-
-
-class TestEnsembleDecorLoss:
-    def test_single_cache_equals_pair_loss(self):
+    def test_single_cache_looks_up_the_batch_rows(self):
         rng = np.random.default_rng(51)
         zk0 = rng.normal(size=(20, 6))
         frozen = rng.normal(size=(30, 6))
         idx = np.arange(5, 25)
         loss = ensemble_decor_loss(Tensor(zk0), [_cache_from(frozen)], idx, CFG, 12)
-        direct = pair_loss(Tensor(zk0), frozen[idx], CFG, 12)
+        direct = one_cache_loss(Tensor(zk0), frozen[idx], CFG, 12)
         assert abs(loss.item() - direct.item()) < 1e-12
 
     def test_equal_caches_mean(self):
@@ -227,7 +261,7 @@ class TestEnsembleDecorLoss:
         idx = np.arange(20)
         caches = [_cache_from(frozen, "arm0"), _cache_from(frozen.copy(), "arm1")]
         loss = ensemble_decor_loss(Tensor(zk0), caches, idx, CFG, 4)
-        single = pair_loss(Tensor(zk0), frozen, CFG, 4)
+        single = one_cache_loss(Tensor(zk0), frozen, CFG, 4)
         assert abs(loss.item() - single.item()) < 1e-12
 
     def test_two_caches_arithmetic_mean(self):
@@ -239,73 +273,14 @@ class TestEnsembleDecorLoss:
         loss = ensemble_decor_loss(
             Tensor(zk0), [_cache_from(f0, "arm0"), _cache_from(f1, "arm1")], idx, CFG, 8
         )
-        l0 = pair_loss(Tensor(zk0), f0, CFG, 8)
-        l1 = pair_loss(Tensor(zk0), f1, CFG, 8)
+        l0 = one_cache_loss(Tensor(zk0), f0, CFG, 8)
+        l1 = one_cache_loss(Tensor(zk0), f1, CFG, 8)
         assert abs(loss.item() - (l0.item() + l1.item()) / 2) < 1e-12
 
     def test_missing_rows(self):
         cache = _cache_from(np.ones((10, 6)))
         with pytest.raises(IndexError):
             ensemble_decor_loss(Tensor(np.ones((5, 6))), [cache], np.array([8, 12]), CFG, 0)
-
-    def test_frozen_gets_no_adjoint(self):
-        rng = np.random.default_rng(54)
-        zk = Tensor(rng.normal(size=(20, 6)), requires_grad=True)
-        frozen = rng.normal(size=(20, 6))
-        loss = ensemble_decor_loss(zk, [_cache_from(frozen)], np.arange(20), CFG, 2)
-        loss.backward()
-        assert zk.grad is not None
-
-
-class TestTotalLoss:
-    def test_weight_zero_is_exactly_ce(self):
-        rng = np.random.default_rng(55)
-        logits0 = rng.normal(size=(10, 3))
-        labels = rng.integers(0, 3, size=10)
-        zk = Tensor(rng.normal(size=(10, 6)))
-        cfg0 = decor_cfg(projection_dim=5, weight=0.0, seed=0)
-        cache = _cache_from(rng.normal(size=(10, 6)))
-        total, part_ce, cor = total_loss(
-            Tensor(logits0), labels, zk, [cache], np.arange(10), cfg0, 0
-        )
-        ce = ad.softmax_cross_entropy(Tensor(logits0), labels)
-        assert total.item() == ce.item()
-        assert part_ce is total and cor is None
-
-    def test_loss_is_ce_plus_weighted_cor(self):
-        rng = np.random.default_rng(57)
-        logits0 = rng.normal(size=(12, 3))
-        labels = rng.integers(0, 3, size=12)
-        zk = Tensor(rng.normal(size=(12, 6)))
-        cache = _cache_from(rng.normal(size=(12, 6)))
-        cfg = decor_cfg(projection_dim=5, seed=0)
-        idx = np.arange(12)
-        total, ce, cor = total_loss(Tensor(logits0), labels, zk, [cache], idx, cfg, 3)
-        assert ce.item() == ad.softmax_cross_entropy(Tensor(logits0), labels).item()
-        assert cor.item() == ensemble_decor_loss(zk, [cache], idx, cfg, 3).item()
-        assert total.item() == ce.item() + cfg.weight * cor.item()
-
-    def test_gradient_linearity(self):
-        rng = np.random.default_rng(56)
-        logits0 = rng.normal(size=(12, 3))
-        labels = rng.integers(0, 3, size=12)
-        zk0 = rng.normal(size=(12, 6))
-        cache = _cache_from(rng.normal(size=(12, 6)))
-        cfg = decor_cfg(projection_dim=5, seed=0)
-        idx = np.arange(12)
-
-        logits = Tensor(logits0, requires_grad=True)
-        zk = Tensor(zk0, requires_grad=True)
-        total_loss(logits, labels, zk, [cache], idx, cfg, 3)[0].backward()
-        g_logits, g_zk = logits.grad.copy(), zk.grad.copy()
-
-        l1 = Tensor(logits0, requires_grad=True)
-        ad.softmax_cross_entropy(l1, labels).backward()
-        z2 = Tensor(zk0, requires_grad=True)
-        ensemble_decor_loss(z2, [cache], idx, cfg, 3).backward()
-
-        assert np.allclose(g_logits, l1.grad, atol=1e-12)
-        assert np.allclose(g_zk, cfg.weight * z2.grad, atol=1e-12)
 
 
 class TestFeatureCache:
@@ -341,7 +316,7 @@ class TestFeatureCache:
         b = build_cache(params, x, ids, "arm0")
         assert np.array_equal(a.features, b.features)
 
-    def test_cache_vs_live_twin_pair_loss(self):
+    def test_cache_vs_live_twin_loss(self):
         params = init_params(self.ARCH, 33)
         rng = np.random.default_rng(59)
         x = rng.normal(size=(14, 16))
@@ -350,8 +325,8 @@ class TestFeatureCache:
         live = forward(params, x)[1].data
         zk = Tensor(rng.normal(size=(14, 8)))
         cfg = decor_cfg(projection_dim=4, seed=0)
-        from_cache = pair_loss(zk, cache.rows(np.arange(14)), cfg, 6)
-        from_live = pair_loss(zk, live, cfg, 6)
+        from_cache = ensemble_decor_loss(zk, [cache], np.arange(14), cfg, 6)
+        from_live = one_cache_loss(zk, live, cfg, 6)
         assert from_cache.item() == from_live.item()
 
     def test_cache_read_only(self):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from densemble import autodiff as ad
 from densemble import ensemble
 from densemble.config import (
     bank_from_config,
@@ -24,7 +25,8 @@ from densemble.ensemble import (
     train_arm,
     train_ensemble,
 )
-from densemble.model import ArchConfig, save_params
+from densemble.decorrelation import FeatureCache, ensemble_decor_loss
+from densemble.model import ArchConfig, forward, init_params, make_param_tensors, save_params
 from densemble.signals import preprocess, split, synthesize
 
 from oracles import adam_reference_step, ensemble_metrics_bruteforce
@@ -216,6 +218,36 @@ class TestTraining:
                   [results[0].cache, results[1].cache], BANK)
         after = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
         assert before == after
+
+    def test_decor_step_descends_ce_plus_weighted_decor_loss(self, small_data, monkeypatch):
+        # a dec arm 1's first step: the gradients handed to Adam are those of
+        # ce + weight * ensemble_decor_loss against arm 0's cache, at the
+        # step seed (decor.seed, k, step)
+        train, _ = small_data
+        x, y, ids = train.signals, train.labels, train.ids
+        decor = decor_from_config(small_cfg("decor", weight=0.7))
+        cache = FeatureCache("arm0", tuple(ids), np.random.default_rng(65).normal(
+            size=(len(ids), ARCH.feature_dim)), {})
+        seen = []
+        real = ensemble.adam_step
+        monkeypatch.setattr(ensemble, "adam_step", lambda params, grads, *a: seen.append(
+            {k: g.copy() for k, g in grads.items()}) or real(params, grads, *a))
+        one_epoch = train_from_config(small_cfg("train", epochs=1))
+        train_arm(1, ArmRole(None, True), x, y, ids, ARCH, one_epoch, decor, [cache], BANK)
+
+        params = init_params(ARCH, np.random.SeedSequence([one_epoch.init_seed, 1]))
+        perm = np.random.default_rng(
+            np.random.SeedSequence([one_epoch.shuffle_seed, 1])).permutation(len(ids))
+        bidx = batch_schedule(len(ids), one_epoch.batch_size, perm)[0]
+        ce_pt, cor_pt = make_param_tensors(params), make_param_tensors(params)
+        ad.softmax_cross_entropy(forward(params, x[bidx], ce_pt)[0], y[bidx]).backward()
+        ensemble_decor_loss(forward(params, x[bidx], cor_pt)[1], [cache], bidx, decor,
+                            np.random.SeedSequence([decor.seed, 1, 0])).backward()
+        for name, g in seen[0].items():  # the head is not under the penalty
+            cor_g = 0.0 if name.startswith("head.") else decor.weight * cor_pt[name].grad
+            want = ce_pt[name].grad + cor_g
+            assert np.allclose(g, want, rtol=1e-9, atol=1e-12), name
+        assert not np.allclose(seen[0]["feat.w"], ce_pt["feat.w"].grad)  # the penalty acts
 
     def test_decor_arm_needs_large_batches(self, small_data):
         train, _ = small_data
