@@ -66,9 +66,10 @@ class AttackSpec:
                 raise ValueError(f"{name}: must be {what} >= {low}, got {value!r}")
         if (self.family == "sap") != bool(self.kernel_bank):
             raise ValueError(f"kernel_bank: sap needs kernels, pgd none; got {self.kernel_bank!r}")
-        for s, sigma in self.kernel_bank:
-            if s % 2 == 0 or s < 1 or sigma <= 0:
-                raise ValueError(f"kernel_bank: need [odd width, std > 0], got ({s}, {sigma})")
+        for s, sigma in self.kernel_bank:  # as above: neither a width nor a std is a bool
+            if (isinstance(s, bool) or not isinstance(s, int) or isinstance(sigma, bool)
+                    or not isinstance(sigma, (int, float)) or s % 2 == 0 or s < 1 or sigma <= 0):
+                raise ValueError(f"kernel_bank: need [odd int width, std > 0], got {(s, sigma)!r}")
 
     @staticmethod
     def make(family: str, eps: float, steps: int = 20, alpha: float | None = None,
@@ -117,10 +118,8 @@ def pgd(
     spec: AttackSpec,
 ) -> np.ndarray:
     """Signed-gradient ascent on the input with per-step projection into
-    the epsilon ball around x.  No data-domain box: amplitudes are
-    unbounded after z-scoring."""
-    if spec.family != "pgd":
-        raise ValueError("pgd called with a non-pgd spec")
+    the epsilon ball around x, for a "pgd" spec.  No data-domain box:
+    amplitudes are unbounded after z-scoring."""
     return _ascend(params, x, y, spec, lambda delta: delta)
 
 
@@ -130,12 +129,10 @@ def sap(
     y: np.ndarray,
     spec: AttackSpec,
 ) -> np.ndarray:
-    """Smoothed perturbation: optimize a latent theta (clipped to the
-    epsilon ball) rendered by one convolution with the mean of the centred
-    kernels and added to x.  That kernel is non-negative with unit sum, so
-    the induced perturbation also stays inside the epsilon ball."""
-    if spec.family != "sap":
-        raise ValueError("sap called with a non-sap spec")
+    """Smoothed perturbation for a "sap" spec: optimize a latent theta
+    (clipped to the epsilon ball) rendered by one convolution with the mean
+    of the centred kernels and added to x.  That kernel is non-negative with
+    unit sum, so the induced perturbation also stays inside the epsilon ball."""
     width = max(s for s, _ in spec.kernel_bank)
     kernel = np.zeros((1, 1, width))
     for s, sigma in spec.kernel_bank:

@@ -106,7 +106,7 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+            if node._backward_fn is not None:
                 node._backward_fn(node.grad)
             if node._parents:  # an interior node is spent once passed on; leaves keep .grad
                 node.grad, node._backward_fn, node._parents = None, None, ()
@@ -351,8 +351,6 @@ def ifft(spectrum) -> np.ndarray:
 
 
 def next_pow2(n: int) -> int:
-    if n < 1:
-        raise ValueError("next_pow2 needs n >= 1")
     p = 1
     while p < n:
         p <<= 1

@@ -100,14 +100,6 @@ class FeatureCache:
             raise ValueError("feature cache rows must match sample ids")
         self.features.flags.writeable = False
 
-    def rows(self, indices) -> np.ndarray:
-        idx = np.asarray(indices)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= self.features.shape[0]:
-            raise IndexError(
-                f"cache {self.model_id}: batch indices outside cached range"
-            )
-        return self.features[idx]
-
 
 def ensemble_decor_loss(
     zk: Tensor,
@@ -118,6 +110,7 @@ def ensemble_decor_loss(
 ) -> Tensor:
     """Mean decorrelation loss of the training model's batch features `zk`
     against the frozen features of every previously trained model.
+    `batch_indices` are rows of the training split, which every cache covers.
 
     One coin flip and one (D, projection_dim) matrix of N(0, 1/sqrt(D))
     entries, both drawn from `step_seed`, govern the whole step: either
@@ -129,7 +122,7 @@ def ensemble_decor_loss(
     proj = rng.normal(0.0, 1.0 / np.sqrt(d), (d, cfg.projection_dim))
     total = None
     for cache in caches:
-        zi = cache.rows(batch_indices)
+        zi = cache.features[batch_indices]
         term = (decor_loss(zk, Tensor(zi @ proj), cfg.stab_eps) if project_frozen
                 else decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps))
         total = term if total is None else ad.add(total, term)

@@ -260,9 +260,7 @@ def train_ensemble(
 
 
 def metrics_from_correctness(correct: np.ndarray) -> dict[str, float]:
-    """Ensemble metrics from an (arms, samples) boolean matrix."""
-    if correct.ndim != 2 or correct.shape[1] == 0:
-        raise ValueError("need a non-empty (arms, samples) correctness matrix")
+    """Ensemble metrics from a non-empty (arms, samples) boolean matrix."""
     arms = correct.shape[0]
     hits = correct.sum(axis=0)
     out = {"average": float(correct.mean())}

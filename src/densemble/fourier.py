@@ -33,8 +33,6 @@ def design_bank(length: int, cutoff: float, transition_width: float) -> RingFilt
     at the cutoff belongs to the low band.  The high band is the exact
     complement, so the two responses sum to one at every bin.
     """
-    if length < 2:
-        raise ValueError(f"length: must be >= 2, got {length!r}")
     if transition_width < 0:
         raise ValueError(f"transition_width: must be >= 0, got {transition_width!r}")
     lo = cutoff - transition_width / 2.0
@@ -59,8 +57,6 @@ def design_bank(length: int, cutoff: float, transition_width: float) -> RingFilt
 
 def _filter_values(bank: RingFilterBank, j: int, values: np.ndarray) -> np.ndarray:
     length = values.shape[-1]
-    if length > bank.length:
-        raise ValueError(f"signal length {length} exceeds bank length {bank.length}")
     half = bank.responses[j][: bank.length // 2 + 1]
     spectrum = np.fft.rfft(values, n=bank.length, axis=-1)
     out = np.fft.irfft(spectrum * half, n=bank.length, axis=-1)
@@ -68,14 +64,12 @@ def _filter_values(bank: RingFilterBank, j: int, values: np.ndarray) -> np.ndarr
 
 
 def apply_band(bank: RingFilterBank, j: int, x):
-    """Apply band j to a signal or batch of signals (last axis = time).
+    """Apply band j (0 or 1) to signals no longer than the bank, time last.
 
     Accepts a plain ndarray or a graph :class:`Tensor`.  The operator is
     linear and self-adjoint (real symmetric spectral multiplier), so the
     backward pass applies the same band to the upstream adjoint.
     """
-    if not 0 <= j < len(bank.responses):
-        raise ValueError(f"band index {j} out of range")
     if isinstance(x, Tensor):
         out = _filter_values(bank, j, x.data)
 
@@ -87,14 +81,12 @@ def apply_band(bank: RingFilterBank, j: int, x):
 
 
 def band_energy(x, bank: RingFilterBank) -> np.ndarray:
-    """Per-band energies of a signal, Parseval-consistent.
+    """Per-band energies of a signal no longer than the bank, Parseval-consistent.
 
     Returns ``[..., 2]``; with a hard (tw=0) bank the energies
     sum to ``||x||^2`` exactly up to FFT roundoff.
     """
     values = np.asarray(x, dtype=np.float64)
-    if values.shape[-1] > bank.length:
-        raise ValueError("signal longer than bank length")
     spectrum = np.fft.fft(values, n=bank.length, axis=-1)
     power = np.abs(spectrum) ** 2
     out = np.stack(

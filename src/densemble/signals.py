@@ -243,8 +243,6 @@ def preprocess(
     this dataset (call on the training split first and pass its stats
     when preprocessing the test split, so nothing leaks).
     """
-    if length <= 0:
-        raise ValueError("length must be positive")
     fitted = np.stack([_fit_length(s, length) for s in ds.signals])
     if stats is None:
         stats = float(fitted.mean()), max(float(fitted.std()), 1e-8)
@@ -258,8 +256,6 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     Record order inside each split follows the original dataset order,
     which downstream code treats as the canonical sample ordering.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []

@@ -283,6 +283,12 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match="kernel_bank: "):
             AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=20, kernel_bank=((5, sigma),))
 
+    @pytest.mark.parametrize("bank", [((5, True),), ((5, 1.25), (9, True)), ((5.0, 1.25),)])
+    def test_bool_std_or_non_integer_width_rejected(self, bank):
+        # True == 1 and 5.0 == 5: the spec once compared equal to the grid's
+        with pytest.raises(ValueError, match="kernel_bank: "):
+            AttackSpec(family="sap", eps=0.1, alpha=0.01, steps=2, kernel_bank=bank)
+
     @pytest.mark.parametrize("name, value", [
         ("eps", True), ("alpha", False), ("steps", True), ("steps", 2.0), ("eps", "1.0"),
     ])

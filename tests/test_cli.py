@@ -838,7 +838,10 @@ def test_evaluate_attack_manifest_missing_key_names_file_and_key(attacked, capsy
     ("pgd_eps01", "target_model_id", "arm7"),
     ("pgd_eps03", "epsilon", True),  # once read as the cell's 1.0
     ("pgd_eps01", "steps", 2.0),  # once read as the grid's 2 steps
-], ids=["alpha", "kernel_bank", "target_model_id", "epsilon_bool", "steps_float"])
+    ("sap_eps01", "kernel_bank",  # once read as the grid's integer widths
+     [[5.0, 1.25], [9, 2.25], [13, 3.25], [17, 4.25], [21, 5.25]]),
+], ids=["alpha", "kernel_bank", "target_model_id", "epsilon_bool", "steps_float",
+        "kernel_width_float"])
 def test_evaluate_reads_attack_manifest_as_written(attacked, capsys, cell, key, value):
     tmp_path, cfg = attacked
     manifest = tmp_path / "atk" / cell / "attack_manifest.json"

@@ -169,10 +169,6 @@ class TestMetrics:
             assert m["p1"] >= m["p2"] >= m["p3"]
             assert m["p3"] <= m["average"] <= m["p1"]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            metrics_from_correctness(np.zeros((3, 0), dtype=bool))
-
 
 class TestTraining:
     def test_cor_reduces_to_plain_ce(self, small_data):

@@ -262,8 +262,3 @@ class TestSplit:
         ds = Dataset(["a"], np.array([0]), [np.ones(4)])
         with pytest.raises(ValueError, match="fewer than 2"):
             split(ds, 0.5, 0)
-
-    def test_invalid_fraction(self):
-        ds = synthesize(synth_cfg(records_per_class=4), 0)
-        with pytest.raises(ValueError):
-            split(ds, 1.0, 0)
