@@ -4,12 +4,17 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import struct
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densemble
 from densemble import attacks, cli, config, ensemble, model
 from densemble.attacks import load_attacked_set
 from densemble.decorrelation import FeatureCache, load_cache, save_cache
@@ -366,9 +371,40 @@ def test_attack_stops_at_first_failed_cell_before_manifest(workdir, monkeypatch,
         assert load_attacked_set(tmp_path / "atk" / name).spec.family == "pgd"
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _cpus(monkeypatch, n):
     # attack counts the CPUs it may use by the process's affinity mask
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pool_sizes(monkeypatch) -> list[int]:
+    # the worker count of every pool that attack opens
+    sizes, real = [], cli.ThreadPoolExecutor
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda n: sizes.append(n) or real(n))
+    return sizes
+
+
+def test_attack_pool_leaves_blas_its_threads(workdir, monkeypatch):
+    # workers = cpus // the first positive thread variable, else cpus // cpus
+    _, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    sizes = _pool_sizes(monkeypatch)
+    cases = [({}, 2, 1), ({}, 1, 1),  # unset: numpy's BLAS starts one thread per CPU
+             ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4), ({"OMP_NUM_THREADS": "2"}, 4, 2),
+             ({"MKL_NUM_THREADS": "4"}, 2, 1),
+             ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "1"}, 2, 2),
+             ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2)]
+    for i, (env, cpus, _) in enumerate(cases):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        _cpus(monkeypatch, cpus)
+        assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", f"atk{i}") == 0
+    assert sizes == [workers for _, _, workers in cases]
 
 
 def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
@@ -377,6 +413,8 @@ def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
     assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # so the pool has cpus threads
+    sizes = _pool_sizes(monkeypatch)
     trees, interval = {}, sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often, so a shared write would show
     try:
@@ -389,7 +427,32 @@ def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sum(p.endswith("/index.csv") for p in trees[1]) == 10
-    assert trees[1] == trees[2] == trees[4]
+    assert trees[1] == trees[2] == trees[4] and sizes == [1, 2, 4]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_main_keeps_the_heap_a_step_frees():
+    # four 5 MiB temporaries, freed and allocated again 20 times as a step
+    # would, stay mapped once main has run (about 40,000 refaults without it)
+    script = textwrap.dedent("""
+        import contextlib, io, resource
+        import numpy as np
+        from densemble import cli
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["train"]) == 2  # exits at the parse
+        def step():
+            temporaries = [np.ones(5 << 17) for _ in range(4)]
+            del temporaries
+        step()  # the first allocation faults its pages in
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            step()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(densemble.__file__).parents[1]))
+    faults = int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert faults < 1000, f"{faults} minor faults over 20 steps of 20 MiB"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -402,6 +465,7 @@ def test_attack_failure_keeps_grid_order_at_any_cpu_count(workdir, monkeypatch, 
     eps = TINY["attack"]["epsilons"]
     _fail_cells(monkeypatch, lambda spec: (spec.family, spec.eps) == ("pgd", eps[2]),
                 "no third epsilon today")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # so the pool has cpus threads
     _cpus(monkeypatch, cpus)
     assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
     err = capsys.readouterr().err

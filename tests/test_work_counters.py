@@ -1,4 +1,4 @@
-"""Exact work counters over the tiny CLI run.
+"""Exact work counters over tiny CLI runs and one training step.
 
 Calls and rows are counted, not timed, so no machine noise blurs them.
 Each counter is pinned at its value: a rise is a regression, and a change
@@ -12,9 +12,10 @@ from collections import Counter
 
 import numpy as np
 
+from densemble import autodiff as ad
 from densemble import ensemble, model, signals
 
-from conftest import run_cli
+from conftest import KINDS, run_cli
 from test_cli import TINY
 
 COUNTED = ((signals, "load_dataset"), (signals, "read_signal"), (model, "forward"),
@@ -38,6 +39,25 @@ PINNED = {
     "evaluate model.forward": 34,
     "evaluate model.forward.rows": 136,
 }
+
+# `train --kind K` for the four kinds in turn into one --out: 9 of 12 arms
+# train, since each kind after cor copies cor's arm 0.
+PINNED_FOUR_KINDS = {
+    "train cor ensemble.train_arm": 3,
+    "train dec ensemble.train_arm": 2,
+    "train fcor ensemble.train_arm": 2,
+    "train fdec ensemble.train_arm": 2,
+}
+
+# `Tensor` constructions in one batch-80 cross-entropy step (forward, loss,
+# backward) of the default arch: its leaves and one node per op
+PINNED_STEP_TENSORS = 25
+
+
+def _check(seen: dict, pinned: dict) -> None:
+    wrong = [f"{key}: {seen.get(key, 0)}, pinned at {pin}"
+             for key, pin in pinned.items() if seen.get(key, 0) != pin]
+    assert not wrong, f"work counters moved (numpy {np.__version__}): " + "; ".join(wrong)
 
 
 def _counting(real, name, counts, lock):
@@ -75,6 +95,33 @@ def test_tiny_run_work_is_pinned(tmp_path, monkeypatch):
         counts.clear()
         assert run_cli(argv[0], "--config", str(cfg), *argv[1:]) == 0
         seen.update({f"{argv[0]} {name}": value for name, value in counts.items()})
-    wrong = [f"{key}: {seen.get(key, 0)}, ceiling {pin}"
-             for key, pin in PINNED.items() if seen.get(key, 0) != pin]
-    assert not wrong, f"work counters moved (numpy {np.__version__}): " + "; ".join(wrong)
+    _check(seen, PINNED)
+
+
+def test_four_kind_run_trains_each_distinct_arm_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, output={"root": str(tmp_path)})))
+    assert run_cli("generate-data", "--config", str(cfg), "--out", "data") == 0
+    counts = _count_everywhere(monkeypatch)
+    seen = {}
+    for kind in KINDS:
+        counts.clear()
+        assert run_cli("train", "--config", str(cfg), "--kind", kind, "--out", "ens") == 0
+        seen[f"train {kind} ensemble.train_arm"] = counts["ensemble.train_arm"]
+    _check(seen, PINNED_FOUR_KINDS)
+
+
+def test_graph_nodes_of_a_training_step_are_pinned(monkeypatch):
+    params = model.init_params(model.ArchConfig(), np.random.SeedSequence(0))
+    x = np.random.default_rng(1).standard_normal((80, params.arch.input_length))
+    y = np.arange(80) % 3
+    nodes, real = [], ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        nodes.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    logits, _ = model.forward(params, x, param_tensors=model.make_param_tensors(params))
+    ad.softmax_cross_entropy(logits, y).backward()
+    _check({"step autodiff.Tensor": len(nodes)}, {"step autodiff.Tensor": PINNED_STEP_TENSORS})
