@@ -1,17 +1,18 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small dynamic-graph engine: every op returns a float64 :class:`Tensor`
-that, if a gradient flows through it, remembers its parents and a closure
-turning its adjoint into theirs, run only if the node needs a gradient.
-Finiteness is checked at the edges (leaves here, logits and features in
-``model.forward``, gradients in ``adam_step`` and the attack step), so a
-diverging computation fails loudly instead of silently producing NaN
-parameters.  ``.grad`` may alias another node's adjoint (``add`` hands one
+A small dynamic-graph engine: every op returns a float64 :class:`Tensor` that,
+if a gradient flows through it, remembers its parents and a closure turning
+its adjoint into theirs, run only if the node needs a gradient.  The ops trust
+the shapes, labels and signs their callers build; each op's docstring states
+what it needs.  Finiteness is checked at the edges (leaves here, logits and
+features in ``model.forward``, gradients in ``adam_step`` and the attack
+step), so a diverging computation fails loudly instead of silently producing
+NaN parameters.  ``.grad`` may alias another node's adjoint (``add`` hands one
 array to both parents, ``mean`` a read-only view), so no adjoint is ever
-written in place.  Dense kernels (matmul, SVD, FFT) are numpy's.
-Convolution runs as im2col GEMMs whose operand order and output layout fix
-the summation order, so its bytes do not depend on numpy's einsum path
-choice; :func:`conv_relu` fuses a conv block's bias and ReLU into its node.
+written in place.  Dense kernels (matmul, SVD, FFT) are numpy's.  Convolution
+runs as im2col GEMMs whose operand order and output layout fix the summation
+order, so its bytes do not depend on numpy's einsum path choice;
+:func:`conv_relu` fuses a conv block's bias and ReLU into its node.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the whole graph."""
-        if self.data.size != 1:
-            raise ValueError("backward() is only defined for scalar outputs")
+        """Backpropagate through the whole graph from this node, a scalar."""
         # Iterative post-order walk; each node appears exactly once.
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -158,8 +157,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise ValueError("log of non-positive argument")
+    """Elementwise natural log of an argument whose every entry is positive."""
     inv = 1.0 / x.data
 
     def bw(g: np.ndarray) -> None:
@@ -206,10 +204,7 @@ def l2norm_sq(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    """a @ b of 2-D operands whose inner dimensions agree: (N,K) x (K,M)."""
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -221,18 +216,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
-    """Batched 1-D cross-correlation: x (N,C,L) with kernels w (C',C,k)."""
-    if x.ndim != 3 or w.ndim != 3:
-        raise ValueError("conv1d expects x (N,C,L) and w (C',C,k)")
+    """Batched 1-D cross-correlation of x (N,C,L) with kernels w (C',C,k),
+    for stride >= 1, pad >= 0 and a kernel that fits: k <= L + 2*pad."""
     n, c, length = x.shape
-    c_out, c_in, k = w.shape
-    if c_in != c:
-        raise ValueError(f"conv1d channel mismatch: input {c}, kernel {c_in}")
-    if stride < 1 or pad < 0:
-        raise ValueError("conv1d needs stride >= 1 and pad >= 0")
-    if k > length + 2 * pad:
-        raise ValueError("conv1d kernel longer than padded input")
-
+    c_out, _, k = w.shape
     xp = np.pad(x.data.transpose(1, 0, 2), ((0, 0), (0, 0), (pad, pad)))  # channel-major
     win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]  # (c,n,Lout,k)
     l_out, lp = win.shape[2], xp.shape[2]
@@ -277,16 +264,10 @@ def conv_relu(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-softmax of the true class over a batch."""
+    """Mean negative log-softmax of the true class over a batch: logits
+    (N,C) and an integer label vector (N,) with entries in [0, C)."""
     y = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ValueError("softmax_cross_entropy expects logits (N,C)")
-    n, c = logits.shape
-    if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("labels must be an integer vector matching the batch")
-    if y.min() < 0 or y.max() >= c:
-        raise ValueError(f"label out of range [0, {c})")
-
+    n = logits.shape[0]
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     ez = np.exp(z - m)
@@ -309,18 +290,14 @@ LSTSQ_RCOND = 1e-10
 def least_squares_residual(zr: Tensor, zt: Tensor) -> tuple[Tensor, Tensor]:
     """Residual and total sum of squares of regressing zt on [zr, 1].
 
-    An intercept column is appended to the regressor internally; the fit
-    uses an SVD pseudo-inverse with singular values below
-    ``LSTSQ_RCOND * s_max`` dropped, so near-collinear feature batches stay
-    well behaved.  Both outputs are differentiable with respect to both
-    arguments (the adjoint uses the orthogonal-projector differential,
-    exact at locally constant rank).
+    zr (N,P) and zt (N,Q) share their N rows.  An intercept column is
+    appended to the regressor internally; the fit uses an SVD pseudo-inverse
+    with singular values below ``LSTSQ_RCOND * s_max`` dropped, so
+    near-collinear feature batches stay well behaved.  Both outputs are
+    differentiable with respect to both arguments (the adjoint uses the
+    orthogonal-projector differential, exact at locally constant rank).
     """
-    if zr.ndim != 2 or zt.ndim != 2:
-        raise ValueError("least_squares_residual expects 2-D matrices")
     n, p = zr.shape
-    if zt.shape[0] != n:
-        raise ValueError(f"row mismatch: regressor {n}, target {zt.shape[0]}")
     if n <= p + 1:
         raise ValueError(f"underdetermined regression: need N > P+1, got N={n}, P={p}")
 

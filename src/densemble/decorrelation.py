@@ -96,6 +96,8 @@ class FeatureCache:
     provenance: dict[str, str]
 
     def __post_init__(self):
+        if self.features.dtype != np.float64:
+            raise ValueError(f"features must be float64, got {self.features.dtype.str}")
         if self.features.ndim != 2 or self.features.shape[0] != len(self.sample_ids):
             raise ValueError("feature cache rows must match sample ids")
         self.features.flags.writeable = False
@@ -166,7 +168,7 @@ def load_cache(path) -> FeatureCache:
     header, arrays = read_container(path, Path(path).read_bytes())
     if header.get("kind") != "feature-cache":
         raise ValueError(f"{path}: not a feature cache file")
-    try:  # a missing field or array, or rows that do not match the ids
+    try:  # a missing field or array, features not float64, or rows that do not match the ids
         return FeatureCache(
             model_id=header["model_id"],
             sample_ids=tuple(header["sample_ids"]),

@@ -64,9 +64,7 @@ class ArmRole:
 
 def arm_roles(kind: str) -> tuple[ArmRole, ...]:
     """Arm descriptors for one ensemble kind; arm 0 is always the
-    unfiltered cross-entropy base model."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
+    unfiltered cross-entropy base model.  `kind` is one of ``KINDS``."""
     filtered = kind in ("fcor", "fdec")
     decor = kind in ("dec", "fdec")
     return (

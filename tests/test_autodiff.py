@@ -184,10 +184,6 @@ class TestScalarOps:
         fd = central_diff_grad(lambda v: ad.mean(ad.log(ad.Tensor(v))).item(), np.array([2.0]))
         assert rel_err(x.grad, fd) < 1e-8
 
-    def test_log_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ad.log(ad.Tensor([1.0, 0.0]))
-
     @pytest.mark.parametrize("axis", [None, 0, 1, 2])
     def test_mean_gradient(self, axis):
         rng = np.random.default_rng(3)
@@ -278,10 +274,6 @@ class TestScalarOps:
                 assert leaf.grad is not None and leaf.grad.shape == leaf.shape
             assert const.grad is None
 
-    def test_backward_requires_scalar(self):
-        with pytest.raises(ValueError):
-            ad.Tensor(np.ones(3), requires_grad=True).backward()
-
     @pytest.mark.parametrize("op", SINGLE_PARENT_OPS.values(), ids=SINGLE_PARENT_OPS.keys())
     def test_single_parent_closure_only_when_the_input_needs_a_gradient(self, op):
         # so a closure that runs may take its input's gradient without asking
@@ -319,10 +311,6 @@ class TestSoftmaxCrossEntropy:
             lambda v: ad.softmax_cross_entropy(ad.Tensor(v), labels).item(), logits0
         )
         assert rel_err(logits.grad, fd) < 1e-5
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
 class TestFFT:

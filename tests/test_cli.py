@@ -318,14 +318,18 @@ def test_cache_naming_another_arm_is_refused(workdir, monkeypatch, capsys, model
     assert calls == [0, 1, 2] and "copied" not in capsys.readouterr().out
 
 
-def _drop_header_field(path, name):
-    # rewritten by hand, since write_container always writes the `arrays` index
+def _edit_header(path, edit):
+    # rewritten by hand, since write_container always writes a true `arrays` index
     blob = path.read_bytes()
     (hlen,) = struct.unpack(">I", blob[4:8])
     header = json.loads(blob[8 : 8 + hlen])
-    del header[name]
+    edit(header)
     hjson = json.dumps(header).encode()
     path.write_bytes(blob[:4] + struct.pack(">I", len(hjson)) + hjson + blob[8 + hlen :])
+
+
+def _drop_header_field(path, name):
+    _edit_header(path, lambda header: header.pop(name))
 
 
 def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch, capsys):
@@ -803,6 +807,20 @@ def test_evaluate_cache_missing_a_header_field_names_file(attacked, capsys):
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     assert f"{path}: bad feature cache: 'model_id'" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_cache_features_of_another_dtype(attacked, capsys):
+    # the payload stays; its index entry says to read the bytes as other numbers
+    tmp_path, cfg = attacked
+    path = tmp_path / "ens" / "cor" / "arm1.cache"
+    good = path.read_bytes()
+    for dtype in ("<i8", "<u8", ">f8"):
+        path.write_bytes(good)
+        _edit_header(path, lambda header: header["arrays"][0].update(dtype=dtype))
+        assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                       "--attacks", "atk", "--out", "r/report.csv") == 1, dtype
+        assert f"{path}: bad feature cache: " in capsys.readouterr().err
+        assert not (tmp_path / "r" / "correlation.json").exists()
 
 
 def test_usage_error_exits_2(capsys):

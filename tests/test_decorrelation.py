@@ -239,12 +239,6 @@ class TestEnsembleDecorLoss:
         with pytest.raises(ValueError, match="underdetermined"):
             one_cache_loss(Tensor(np.ones((6, 8))), np.ones((6, 8)), CFG, 0)
 
-    def test_rows_must_match_the_batch(self):
-        cache = _cache_from(np.ones((30, 6)))
-        for seed in (FROZEN_SEED, LIVE_SEED):
-            with pytest.raises(ValueError, match="row mismatch"):
-                ensemble_decor_loss(Tensor(np.ones((20, 6))), [cache], np.arange(19), CFG, seed)
-
     def test_single_cache_looks_up_the_batch_rows(self):
         rng = np.random.default_rng(51)
         zk0 = rng.normal(size=(20, 6))
@@ -354,4 +348,15 @@ class TestFeatureCache:
         path = tmp_path / "c.cache"
         write_container(path, {"kind": "feature-cache", **header}, arrays)
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad feature cache")):
+            load_cache(path)
+
+    @pytest.mark.parametrize("dtype", ["<i8", "<u8", ">f8", "<f4"])
+    def test_features_of_another_dtype_name_file(self, tmp_path, dtype):
+        # every cache the program builds holds float64; other numbers are refused
+        path = tmp_path / "c.cache"
+        write_container(path, {"kind": "feature-cache", "model_id": "arm0",
+                               "sample_ids": ["a", "b"]},
+                        {"features": np.ones((2, 3), dtype=dtype)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: bad feature cache: features must be float64, got {dtype}")):
             load_cache(path)

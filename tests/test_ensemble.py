@@ -115,10 +115,6 @@ class TestArmRoles:
         assert [r.band for r in fdec] == [r.band for r in fcor]
         assert [r.decorrelate for r in fdec] == [r.decorrelate for r in dec]
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            arm_roles("bagging")
-
 
 class TestBatchSchedule:
     def test_exact_division(self):

@@ -49,6 +49,21 @@ PINNED_FOUR_KINDS = {
     "train fdec ensemble.train_arm": 2,
 }
 
+# `attack` and `evaluate` over that four-kind --out.  evaluate predicts the
+# natural split once for the mask, then every arm of every kind on each of
+# the 11 cells: 1 + 4 * 3 * 11 = 133 forwards, of which 1 + 9 * 11 = 100 are
+# of distinct arms, since dec, fcor and fdec copy cor's arm 0.
+PINNED_FOUR_KINDS_SCORING = {
+    "attack signals.load_dataset": 1,
+    "attack signals.read_signal": 24,
+    "attack model.forward": 21,
+    "attack model.forward.rows": 84,
+    "evaluate signals.load_dataset": 1,
+    "evaluate signals.read_signal": 104,
+    "evaluate model.forward": 133,
+    "evaluate model.forward.rows": 532,
+}
+
 # `Tensor` constructions in one batch-80 cross-entropy step (forward, loss,
 # backward) of the default arch: its leaves and one node per op
 PINNED_STEP_TENSORS = 25
@@ -109,6 +124,23 @@ def test_four_kind_run_trains_each_distinct_arm_once(tmp_path, monkeypatch):
         assert run_cli("train", "--config", str(cfg), "--kind", kind, "--out", "ens") == 0
         seen[f"train {kind} ensemble.train_arm"] = counts["ensemble.train_arm"]
     _check(seen, PINNED_FOUR_KINDS)
+
+
+def test_four_kind_run_attack_and_evaluate_work_is_pinned(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, output={"root": str(tmp_path)})))
+    assert run_cli("generate-data", "--config", str(cfg), "--out", "data") == 0
+    for kind in KINDS:
+        assert run_cli("train", "--config", str(cfg), "--kind", kind, "--out", "ens") == 0
+    counts = _count_everywhere(monkeypatch)
+    seen = {}
+    for argv in (("attack", "--ensemble-dir", "ens", "--out", "atk"),
+                 ("evaluate", "--ensemble-dir", "ens", "--attacks", "atk",
+                  "--out", "r/report.csv")):
+        counts.clear()
+        assert run_cli(argv[0], "--config", str(cfg), *argv[1:]) == 0
+        seen.update({f"{argv[0]} {name}": value for name, value in counts.items()})
+    _check(seen, PINNED_FOUR_KINDS_SCORING)
 
 
 def test_graph_nodes_of_a_training_step_are_pinned(monkeypatch):
