@@ -36,6 +36,7 @@ from .decorrelation import load_cache, save_cache
 from .ensemble import (
     KINDS,
     arm_roles,
+    arm_view,
     correlation_report,
     evaluate_arms,
     train_ensemble,
@@ -249,25 +250,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     arms = {kind: [_checked_cache(ensemble_dir / kind, k, key, train.ids, train_digest,
                                   None if k else arm0)  # arm 0 as _base_arm read it
                    for k, key in enumerate(_arm_keys(cfg, kind, train_digest))] for kind in kinds}
-    mask = predict(arms[kinds[0]][0][2], test.signals) == test.labels
+    cells = [("none", 0.0, test.signals)] + [  # (attack, epsilon, inputs), natural first
+        (aset.spec.family, aset.spec.eps, aset.perturbed) for _, aset in loaded]
+    table = {}  # (params bytes, band) -> (cells, samples) correctness, once per distinct arm
+    correct = {kind: [] for kind in kinds}
+    for kind in kinds:
+        for (_, blob, params), role in zip(arms[kind], arm_roles(kind)):
+            if (key := (blob, role.band)) not in table:
+                table[key] = np.stack([predict(params, arm_view(x, role, bank)) == test.labels
+                                       for _, _, x in cells])
+            correct[kind].append(table[key])
+    mask = correct[kinds[0]][0][0]  # the base arm on the natural test set
     for cell_dir, aset in loaded:
         if (rows := np.flatnonzero(aset.mask != mask)).size:  # name the line only on failure
             ln, (_, _, masked, _) = read_csv(cell_dir / "index.csv", INDEX_HEADER)[rows[0]]
             raise ValueError(f"{cell_dir / 'index.csv'}:{ln}: masked is {masked!r}, but the "
                              f"signals and arm0 give {str(int(mask[rows[0]]))!r}; rerun attack")
-    # (attack, epsilon, inputs, scored samples); the natural test set first
-    cells = [("none", 0.0, test.signals, np.ones(len(test), dtype=bool))] + [
-        (aset.spec.family, aset.spec.eps, aset.perturbed, mask) for _, aset in loaded]
 
-    rows = []
-    correlations = {}
+    rows, correlations = [], {}
+    scored = [np.ones_like(mask)] + [mask] * len(loaded)
     for kind in kinds:
-        caches, _, params = zip(*arms[kind])
-        for fam, eps, x, scored in cells:
-            m = evaluate_arms(params, arm_roles(kind), x, test.labels, scored, bank)
+        for (fam, eps, _), cell, s in zip(cells, np.stack(correct[kind], axis=1), scored):
+            m = evaluate_arms(cell, s)
             rows.append([kind, fam, repr(float(eps))]
                         + [repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [m["n_masked"]])
-        correlations[kind] = correlation_report([cache.features for cache in caches])
+        correlations[kind] = correlation_report([cache.features for cache, _, _ in arms[kind]])
 
     (report_path.parent / "run_manifest.json").unlink(missing_ok=True)
     write_csv(report_path,
@@ -347,3 +354,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__": entry()

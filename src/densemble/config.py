@@ -163,6 +163,8 @@ def resolve_config(user: dict) -> dict:
         ("attack.alpha_scale", cfg["attack"]["alpha_scale"] > 0, "> 0"),
         ("decor.projection_dim", cfg["decor"]["projection_dim"] <= cfg["arch"]["feature_dim"],
          "<= arch.feature_dim"),
+        *((f"attack.{key}", len(set(cfg["attack"][key])) == len(cfg["attack"][key]),
+           "a list without repeats") for key in ("families", "epsilons")),
     ):
         if not ok:
             raise ConfigError(f"{dotted}: must be {what}")

@@ -30,7 +30,7 @@ from .decorrelation import (
     ensemble_decor_loss,
 )
 from .fourier import RingFilterBank, apply_band
-from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors, predict
+from .model import ArchConfig, ClassifierParams, forward, init_params, make_param_tensors
 
 __all__ = [
     "KINDS",
@@ -42,8 +42,8 @@ __all__ = [
     "TrainConfig",
     "batch_schedule",
     "train_arm",
+    "arm_view",
     "train_ensemble",
-    "metrics_from_correctness",
     "evaluate_arms",
     "correlation_report",
 ]
@@ -165,7 +165,8 @@ class ArmResult:
     curve: list[dict] = field(repr=False)
 
 
-def _arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank) -> np.ndarray:
+def arm_view(x: np.ndarray, role: ArmRole, bank: RingFilterBank) -> np.ndarray:
+    """The input as the arm sees it: its band of `x`, or `x` if unfiltered."""
     return x if role.band is None else apply_band(bank, role.band, x)
 
 
@@ -189,7 +190,7 @@ def train_arm(
     the full training set, and the per-epoch loss curve.
     """
     n = train_x.shape[0]
-    view = _arm_view(train_x, role, bank)
+    view = arm_view(train_x, role, bank)
 
     params = init_params(arch, np.random.SeedSequence([cfg.init_seed, k]))
     state = AdamState.init(params.tensors)
@@ -257,34 +258,18 @@ def train_ensemble(
     return results
 
 
-def metrics_from_correctness(correct: np.ndarray) -> dict[str, float]:
-    """Ensemble metrics from a non-empty (arms, samples) boolean matrix."""
-    arms = correct.shape[0]
-    hits = correct.sum(axis=0)
-    out = {"average": float(correct.mean())}
-    for x in range(1, arms + 1):
-        out[f"p{x}"] = float(np.mean(hits >= x))
-    return out
-
-
-def evaluate_arms(
-    arms: Sequence[ClassifierParams],
-    roles: Sequence[ArmRole],
-    x: np.ndarray,
-    y: np.ndarray,
-    mask: np.ndarray,
-    bank: RingFilterBank,
-) -> dict[str, float]:
-    """Per-sample correctness over all arms (each on its own filtered
-    view), reduced to average and P(>=x) metrics.  `mask` selects the
-    scored samples (attacked sets score only base-correct naturals)."""
+def evaluate_arms(correct: np.ndarray, mask: np.ndarray) -> dict[str, float]:
+    """Average and P(>=x) metrics of an (arms, samples) boolean correctness matrix over
+    the samples `mask` selects, and their count (attacked sets score base-correct naturals)."""
     if not np.any(mask):
         raise ValueError("evaluation mask is empty")
-    correct = np.stack([predict(p, _arm_view(x, role, bank)) == y
-                        for p, role in zip(arms, roles)])
-    metrics = metrics_from_correctness(correct[:, mask])
-    metrics["n_masked"] = int(mask.sum())
-    return metrics
+    correct = correct[:, mask]
+    hits = correct.sum(axis=0)
+    out = {"average": float(correct.mean())}
+    for x in range(1, correct.shape[0] + 1):
+        out[f"p{x}"] = float(np.mean(hits >= x))
+    out["n_masked"] = int(mask.sum())
+    return out
 
 
 def correlation_report(feats: Sequence[np.ndarray]) -> dict:

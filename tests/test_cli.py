@@ -123,6 +123,9 @@ BAD_VALUES = [
     ("attack.families", {"attack": {"families": []}}),
     ("attack.epsilons", {"attack": {"epsilons": [0.1, -0.1]}}),
     ("attack.epsilons", {"attack": {"epsilons": ["0.1"]}}),
+    # a repeated family or epsilon would craft and report its cells twice
+    ("attack.families", {"attack": {"families": ["pgd", "pgd"]}}),
+    ("attack.epsilons", {"attack": {"epsilons": [0.1, 0.1]}}),
     ("attack.steps", {"attack": {"steps": 0}}),
     ("attack.alpha_scale", {"attack": {"alpha_scale": 0}}),
     ("attack.alpha_scale", {"attack": {"alpha_scale": -0.1}}),
@@ -170,6 +173,18 @@ def test_missing_config_exits_2(tmp_path, capsys):
     (tmp_path / "cfgdir").mkdir()
     assert run_cli("generate-data", "--config", str(tmp_path / "cfgdir"), "--out", "x") == 2
     assert f"config error: {tmp_path / 'cfgdir'}: cannot read config: " in capsys.readouterr().err
+
+
+def test_module_run_executes_the_cli(tmp_path):
+    # `python -m densemble.cli` runs the same main as the `densemble` script
+    env = dict(os.environ, PYTHONPATH=str(Path(densemble.__file__).parents[1]))
+    missing = tmp_path / "nonexistent.json"
+    done = subprocess.run([sys.executable, "-m", "densemble.cli", "generate-data",
+                           "--config", str(missing), "--out", "d"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert f"config error: config file not found: {missing}" in done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_train_writes_artifacts_and_curves(workdir):
@@ -661,6 +676,45 @@ def test_evaluate_rows_and_determinism(workdir):
     assert (tmp_path / "r1" / "correlation.json").read_bytes() == (
         tmp_path / "r2" / "correlation.json"
     ).read_bytes()
+
+
+def test_filtered_kinds_score_each_arm_on_its_band(tmp_path):
+    # every fcor and fdec row, recomputed arm by arm from the files on disk.  At
+    # TINY's size every filtered arm predicts one class on any input, so its
+    # band would change nothing: the run has twice the records and 10 epochs.
+    cfg = str(tmp_path / "config.json")
+    Path(cfg).write_text(json.dumps(dict(TINY, data=dict(TINY["data"], records_per_class=24),
+                                         train=dict(TINY["train"], epochs=10),
+                                         output={"root": str(tmp_path)})))
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    for kind in KINDS:
+        assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 0
+    resolved = config.load_config(cfg)
+    bank = config.bank_from_config(resolved)
+    test, _, base_correct = _base_correct(tmp_path)
+    inputs = {("none", "0.0"): (test.signals, np.ones(len(test), dtype=bool))}
+    for name, spec in config.attack_cells(resolved):
+        aset = load_attacked_set(tmp_path / "atk" / name)
+        inputs[spec.family, repr(float(spec.eps))] = (aset.perturbed, base_correct)
+    rows = [r for r in read_report(tmp_path / "r" / "report.csv")
+            if r["kind"] in ("fcor", "fdec")]
+    assert len(rows) == 2 * len(inputs)
+    band_changes_a_prediction = False
+    for row in rows:
+        x, scored = inputs[row["attack"], row["epsilon"]]
+        predictions = []
+        for k, role in enumerate(ensemble.arm_roles(row["kind"])):
+            path = tmp_path / "ens" / row["kind"] / f"arm{k}.params"
+            params = model.load_params(path, path.read_bytes())
+            predictions.append(model.predict(params, ensemble.arm_view(x, role, bank)))
+            band_changes_a_prediction |= bool(np.any(predictions[-1] != model.predict(params, x)))
+        m = ensemble.evaluate_arms(np.stack(predictions) == test.labels, scored)
+        assert [row[c] for c in ("average", "p1", "p2", "p3", "n_masked")] == [
+            repr(m[c]) for c in ("average", "p1", "p2", "p3")] + [str(m["n_masked"])], row
+    assert band_changes_a_prediction  # else scoring the unfiltered input would pass too
 
 
 def test_evaluate_missing_artifact_exits_1(workdir, capsys):

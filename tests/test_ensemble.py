@@ -21,7 +21,6 @@ from densemble.ensemble import (
     batch_schedule,
     correlation_report,
     evaluate_arms,
-    metrics_from_correctness,
     train_arm,
     train_ensemble,
 )
@@ -133,24 +132,28 @@ class TestBatchSchedule:
         assert [list(b) for b in batch_schedule(3, 8, perm)] == [[0, 1, 2]]
 
 
+def _metrics(correct):
+    return evaluate_arms(correct, np.ones(correct.shape[1], dtype=bool))
+
+
 class TestMetrics:
     def test_all_correct(self):
-        m = metrics_from_correctness(np.ones((3, 5), dtype=bool))
-        assert m == {"average": 1.0, "p1": 1.0, "p2": 1.0, "p3": 1.0}
+        m = _metrics(np.ones((3, 5), dtype=bool))
+        assert m == {"average": 1.0, "p1": 1.0, "p2": 1.0, "p3": 1.0, "n_masked": 5}
 
     def test_disjoint_thirds(self):
         correct = np.zeros((3, 9), dtype=bool)
         correct[0, 0:3] = True
         correct[1, 3:6] = True
         correct[2, 6:9] = True
-        m = metrics_from_correctness(correct)
+        m = _metrics(correct)
         assert m["average"] == pytest.approx(1 / 3)
         assert m["p1"] == 1.0 and m["p2"] == 0.0 and m["p3"] == 0.0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(62)
         correct = rng.random((3, 40)) < 0.6
-        m = metrics_from_correctness(correct)
+        m = _metrics(correct)
         ref = ensemble_metrics_bruteforce(correct)
         for key, val in ref.items():
             assert m[key] == pytest.approx(val, abs=1e-12)
@@ -161,7 +164,7 @@ class TestMetrics:
             correct = rng.random((3, 17)) < rng.random()
             if not correct.any():
                 continue
-            m = metrics_from_correctness(correct)
+            m = _metrics(correct)
             assert m["p1"] >= m["p2"] >= m["p3"]
             assert m["p3"] <= m["average"] <= m["p1"]
 
@@ -288,33 +291,17 @@ class TestTraining:
 
 
 class TestEvaluate:
-    def test_filtered_arms_see_their_band(self, small_data):
-        train, test = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("fcor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        m = evaluate_arms([r.params for r in results], arm_roles("fcor"),
-                          test.signals, test.labels, np.ones(len(test), dtype=bool), BANK)
-        assert set(m) == {"average", "p1", "p2", "p3", "n_masked"}
-        assert m["n_masked"] == len(test)
-
-    def test_mask_restricts_scoring(self, small_data):
-        train, test = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        xt, yt = test.signals, test.labels
-        mask = np.zeros(len(yt), dtype=bool)
+    def test_mask_restricts_scoring(self):
+        correct = np.zeros((3, 6), dtype=bool)
+        correct[:, :2] = True  # every arm right on the scored samples only
+        mask = np.zeros(6, dtype=bool)
         mask[:2] = True
-        m = evaluate_arms([r.params for r in results], arm_roles("cor"), xt, yt, mask, BANK)
-        assert m["n_masked"] == 2
+        m = evaluate_arms(correct, mask)
+        assert m == {"average": 1.0, "p1": 1.0, "p2": 1.0, "p3": 1.0, "n_masked": 2}
 
-    def test_empty_mask_rejected(self, small_data):
-        train, test = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
+    def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="mask"):
-            evaluate_arms([r.params for r in results], arm_roles("cor"),
-                          test.signals, test.labels,
-                          np.zeros(len(test), dtype=bool), BANK)
+            evaluate_arms(np.ones((3, 4), dtype=bool), np.zeros(4, dtype=bool))
 
 
 class TestCorrelationReport:

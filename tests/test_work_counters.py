@@ -36,8 +36,8 @@ PINNED = {
     "attack model.forward.rows": 84,
     "evaluate signals.load_dataset": 1,
     "evaluate signals.read_signal": 104,
-    "evaluate model.forward": 34,
-    "evaluate model.forward.rows": 136,
+    "evaluate model.forward": 33,
+    "evaluate model.forward.rows": 132,
 }
 
 # `train --kind K` for the four kinds in turn into one --out: 9 of 12 arms
@@ -49,10 +49,11 @@ PINNED_FOUR_KINDS = {
     "train fdec ensemble.train_arm": 2,
 }
 
-# `attack` and `evaluate` over that four-kind --out.  evaluate predicts the
-# natural split once for the mask, then every arm of every kind on each of
-# the 11 cells: 1 + 4 * 3 * 11 = 133 forwards, of which 1 + 9 * 11 = 100 are
-# of distinct arms, since dec, fcor and fdec copy cor's arm 0.
+# `attack` and `evaluate` over that four-kind --out.  evaluate predicts each
+# distinct arm (params bytes and band) once on each of the 11 inputs, the
+# natural split and 10 cells: dec, fcor and fdec copy cor's arm 0, so 9 of the
+# 12 arms are distinct and 9 * 11 = 99 forwards run.  The scoring mask is arm
+# 0's natural row of that table, so no forward of its own.
 PINNED_FOUR_KINDS_SCORING = {
     "attack signals.load_dataset": 1,
     "attack signals.read_signal": 24,
@@ -60,8 +61,8 @@ PINNED_FOUR_KINDS_SCORING = {
     "attack model.forward.rows": 84,
     "evaluate signals.load_dataset": 1,
     "evaluate signals.read_signal": 104,
-    "evaluate model.forward": 133,
-    "evaluate model.forward.rows": 532,
+    "evaluate model.forward": 99,
+    "evaluate model.forward.rows": 396,
 }
 
 # `Tensor` constructions in one batch-80 cross-entropy step (forward, loss,
