@@ -15,7 +15,6 @@ import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .config import (
     synth_from_config,
     train_from_config,
 )
-from .decorrelation import load_cache, save_cache
+from .decorrelation import FeatureCache, load_cache, save_cache
 from .ensemble import (
     KINDS,
     arm_roles,
@@ -158,11 +157,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                 continue
             found[k] = other, cache, params, curve
             break
-    results = train_ensemble(kind, train.signals, train.labels, train.ids,
-                             arch_from_config(cfg), train_from_config(cfg), decor_from_config(cfg),
-                             bank_from_config(cfg), {k: hit[1] for k, hit in found.items()})
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
-    for k, res in enumerate(results):
+    for k, res in train_ensemble(kind, train.signals, train.labels, arch_from_config(cfg),
+                                 train_from_config(cfg), decor_from_config(cfg),
+                                 bank_from_config(cfg),
+                                 {k: hit[1].features for k, hit in found.items()}):
         if res is None:
             other, cache, params, curve = found[k]
             write_bytes(out_dir / f"arm{k}.params", params)
@@ -173,7 +172,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         blob = save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
         provenance = {"arm_key": keys[k], "train_digest": train_digest,
                       "params_sha256": hashlib.sha256(blob).hexdigest()}
-        save_cache(replace(res.cache, provenance=provenance), out_dir / f"arm{k}.cache")
+        save_cache(FeatureCache(f"arm{k}", tuple(train.ids), res.features, provenance),
+                   out_dir / f"arm{k}.cache")
         _write_curve(out_dir / f"arm{k}_curve.csv", res.curve)
     _write_manifest(out_dir, "train", cfg, {"kind": kind, "out": args.out})
     print(f"trained {kind} ensemble into {out_dir}")
@@ -237,6 +237,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kinds, arm0, base_sha = _base_arm(ensemble_dir)
     bank = bank_from_config(cfg)
     train, test, train_digest = _load_splits(cfg)
+    if (n := len(train.ids)) <= (dim := cfg["arch"]["feature_dim"]) + 1:  # correlation_r2: N > P+1
+        raise ValueError(f"correlation.json regresses each arm's features over the {n} train "
+                         f"rows, which must exceed arch.feature_dim+1 = {dim + 1}")
 
     loaded = []
     for name, spec in attack_cells(cfg):

@@ -188,6 +188,8 @@ def load_config(path: str | Path) -> dict:
 def resolve_path(cfg: dict, p: str | Path) -> Path:
     """`p` under the output root (the environment override, else the config's);
     an absolute `p` stands as it is."""
+    if os.environ.get(OUTPUT_ROOT_ENV) == "":
+        raise ConfigError(f"{OUTPUT_ROOT_ENV}: must be a non-empty path when set")
     return Path(os.environ.get(OUTPUT_ROOT_ENV, cfg["output"]["root"])) / p
 
 

@@ -86,9 +86,9 @@ PROVENANCE = ("arm_key", "params_sha256", "train_digest")
 
 @dataclass(frozen=True)
 class FeatureCache:
-    """Frozen features of one trained model over the full training set,
-    row i matching training sample i under the canonical ordering, and
-    the ``PROVENANCE`` fields of a saved cache (none in memory)."""
+    """A saved ``arm{k}.cache``: the frozen features of one trained model
+    over the full training set, row i matching training sample i under the
+    canonical ordering, and the ``PROVENANCE`` fields that tie it to its arm."""
 
     model_id: str
     sample_ids: tuple[str, ...]
@@ -105,14 +105,14 @@ class FeatureCache:
 
 def ensemble_decor_loss(
     zk: Tensor,
-    caches: Sequence[FeatureCache],
+    frozen: Sequence[np.ndarray],
     batch_indices,
     cfg: DecorConfig,
     step_seed,
 ) -> Tensor:
     """Mean decorrelation loss of the training model's batch features `zk`
     against the frozen features of every previously trained model.
-    `batch_indices` are rows of the training split, which every cache covers.
+    `batch_indices` are rows of the training split, which each `frozen` matrix covers.
 
     One coin flip and one (D, projection_dim) matrix of N(0, 1/sqrt(D))
     entries, both drawn from `step_seed`, govern the whole step: either
@@ -123,32 +123,24 @@ def ensemble_decor_loss(
     d = zk.shape[1]
     proj = rng.normal(0.0, 1.0 / np.sqrt(d), (d, cfg.projection_dim))
     total = None
-    for cache in caches:
-        zi = cache.features[batch_indices]
+    for features in frozen:
+        zi = features[batch_indices]
         term = (decor_loss(zk, Tensor(zi @ proj), cfg.stab_eps) if project_frozen
                 else decor_loss(Tensor(zi), ad.matmul(zk, Tensor(proj)), cfg.stab_eps))
         total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(caches))
+    return ad.scale(total, 1.0 / len(frozen))
 
 
-def build_cache(
-    params: ClassifierParams,
-    signals: np.ndarray,
-    sample_ids: Sequence[str],
-    model_id: str,
-) -> FeatureCache:
+def build_cache(params: ClassifierParams, signals: np.ndarray) -> np.ndarray:
     """One forward pass over the training set (canonical order) collecting
-    the feature layer."""
+    the feature layer, as a read-only matrix."""
     chunks = []
     for start in range(0, signals.shape[0], CACHE_BATCH):
         _, feats = forward(params, signals[start : start + CACHE_BATCH])
         chunks.append(feats.data)
-    return FeatureCache(
-        model_id=model_id,
-        sample_ids=tuple(sample_ids),
-        features=np.concatenate(chunks, axis=0),
-        provenance={},
-    )
+    features = np.concatenate(chunks, axis=0)
+    features.flags.writeable = False
+    return features
 
 
 def save_cache(cache: FeatureCache, path) -> None:

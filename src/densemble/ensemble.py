@@ -5,8 +5,8 @@ cross-entropy baseline (the attack target); arms 1 and 2 optionally see
 a single spectral band of the input (fcor / fdec) and optionally carry
 the decorrelation penalty against all previously trained arms (dec /
 fdec).  Arms train strictly in order because each decorrelating arm
-regresses against the frozen feature caches of its predecessors; an arm
-whose cache is already known (copied from another kind) is skipped.
+regresses against the frozen features of its predecessors; an arm whose
+features are already known (copied from another kind) is skipped.
 
 Everything is deterministic given the config seeds: data shuffling,
 initialization and projection draws use separate named streams, so a
@@ -17,14 +17,13 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .decorrelation import (
     DecorConfig,
-    FeatureCache,
     build_cache,
     correlation_r2,
     ensemble_decor_loss,
@@ -161,7 +160,7 @@ def batch_schedule(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray
 @dataclass
 class ArmResult:
     params: ClassifierParams
-    cache: FeatureCache
+    features: np.ndarray = field(repr=False)
     curve: list[dict] = field(repr=False)
 
 
@@ -175,19 +174,18 @@ def train_arm(
     role: ArmRole,
     train_x: np.ndarray,
     train_y: np.ndarray,
-    sample_ids: Sequence[str],
     arch: ArchConfig,
     cfg: TrainConfig,
     decor_cfg: DecorConfig,
-    caches: Sequence[FeatureCache],
+    frozen: Sequence[np.ndarray],
     bank: RingFilterBank,
 ) -> ArmResult:
     """Train one arm on its own (possibly band-filtered) view of the data.
 
     `train_x` is the unfiltered preprocessed training matrix; the arm's
-    band is applied here once, and the penalty runs against every cache in
-    `caches`.  Returns the trained parameters, the arm's feature cache over
-    the full training set, and the per-epoch loss curve.
+    band is applied here once, and the penalty runs against every feature
+    matrix in `frozen`.  Returns the trained parameters, the arm's features
+    over the full training set, and the per-epoch loss curve.
     """
     n = train_x.shape[0]
     view = arm_view(train_x, role, bank)
@@ -196,7 +194,6 @@ def train_arm(
     state = AdamState.init(params.tensors)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.shuffle_seed, k]))
     curve: list[dict] = []
-    step = 0
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         ce_vals, cor_vals = [], []
@@ -204,42 +201,38 @@ def train_arm(
             pt = make_param_tensors(params, requires_grad=True)
             logits, feats = forward(params, view[bidx], param_tensors=pt)
             loss = ce = ad.softmax_cross_entropy(logits, train_y[bidx])
-            if caches:
-                cor = ensemble_decor_loss(feats, caches, bidx, decor_cfg,
-                                          np.random.SeedSequence([decor_cfg.seed, k, step]))
+            if frozen:  # state.t counts the steps taken so far
+                cor = ensemble_decor_loss(feats, frozen, bidx, decor_cfg,
+                                          np.random.SeedSequence([decor_cfg.seed, k, state.t]))
                 loss = ad.add(ce, ad.scale(cor, decor_cfg.weight))
                 cor_vals.append(cor.item())
             loss.backward()
             grads = {name: t.grad for name, t in pt.items()}
             adam_step(params.tensors, grads, state, cfg.learning_rate, cfg.adam)
             ce_vals.append(ce.item())
-            step += 1
         row = {"epoch": epoch, "ce": float(np.mean(ce_vals))}
         if cor_vals:
             row["cor"] = float(np.mean(cor_vals))
         curve.append(row)
 
-    cache = build_cache(params, view, sample_ids, model_id=f"arm{k}")
-    return ArmResult(params=params, cache=cache, curve=curve)
+    return ArmResult(params=params, features=build_cache(params, view), curve=curve)
 
 
 def train_ensemble(
     kind: str,
     train_x: np.ndarray,
     train_y: np.ndarray,
-    sample_ids: Sequence[str],
     arch: ArchConfig,
     cfg: TrainConfig,
     decor_cfg: DecorConfig,
     bank: RingFilterBank,
-    known: Mapping[int, FeatureCache],
-) -> list[ArmResult | None]:
-    """Train the three arms strictly sequentially, except the arms in
-    `known`, whose caches are given and whose results are None; each
-    decorrelating arm sees the caches of every arm before it."""
+    known: Mapping[int, np.ndarray],
+) -> Iterator[tuple[int, ArmResult | None]]:
+    """Train the three arms strictly sequentially, yielding `(k, result)` as
+    each finishes; the arms in `known`, whose feature matrices are given,
+    yield None.  Each decorrelating arm sees the features of every arm before it."""
     roles = arm_roles(kind)
-    results: list[ArmResult | None] = []
-    caches: list[FeatureCache] = []
+    feats: list[np.ndarray] = []
     batch = min(cfg.batch_size, train_x.shape[0])  # every regressor has feature_dim columns
     try:
         for k, role in enumerate(roles):  # check every arm's batches before any trains
@@ -248,14 +241,13 @@ def train_ensemble(
                                  f"feature_dim+1={arch.feature_dim + 1}, got {batch}")
         for k, role in enumerate(roles):
             res = None if k in known else train_arm(
-                k, role, train_x, train_y, sample_ids, arch, cfg, decor_cfg,
-                list(caches) if role.decorrelates(decor_cfg) else [], bank,
+                k, role, train_x, train_y, arch, cfg, decor_cfg,
+                list(feats) if role.decorrelates(decor_cfg) else [], bank,
             )
-            results.append(res)
-            caches.append(known[k] if res is None else res.cache)
+            feats.append(known[k] if res is None else res.features)
+            yield k, res
     except Exception as exc:
         raise RuntimeError(f"arm {k} of {kind} failed: {exc}") from exc
-    return results
 
 
 def evaluate_arms(correct: np.ndarray, mask: np.ndarray) -> dict[str, float]:

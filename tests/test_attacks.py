@@ -49,7 +49,7 @@ def toy():
     test, _ = preprocess(test_raw, 128, stats=stats)
     res = train_arm(
         0, ArmRole(band=None, decorrelate=False),
-        train.signals, train.labels, train.ids,
+        train.signals, train.labels,
         arch_from_config(CFG), train_from_config(CFG), decor_from_config(CFG), [],
         bank_from_config(CFG),
     )

@@ -726,6 +726,28 @@ def test_evaluate_missing_artifact_exits_1(workdir, capsys):
     assert "missing artifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("feature_dim", [19, 24])
+def test_evaluate_refuses_too_few_train_rows_before_predicting(workdir, monkeypatch, capsys,
+                                                               feature_dim):
+    # correlation.json regresses each arm's features over the 20 train rows,
+    # so they must exceed feature_dim+1; 19 is the boundary
+    tmp_path, _ = workdir
+    cfg = _other_config(tmp_path, "arch.feature_dim", feature_dim)
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    capsys.readouterr()
+    calls, real = [], cli.predict
+    monkeypatch.setattr(cli, "predict", lambda *a: calls.append(1) or real(*a))
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert capsys.readouterr().err == (
+        "error: correlation.json regresses each arm's features over the 20 train rows, "
+        f"which must exceed arch.feature_dim+1 = {feature_dim + 1}\n")
+    assert calls == []
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.fixture()
 def attacked(workdir):
     """A trained cor ensemble and its attack grid, ready for evaluate."""
@@ -887,6 +909,17 @@ def test_env_var_overrides_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("DENSEMBLE_ROOT", str(tmp_path / "rooted"))
     assert run_cli("generate-data", "--config", str(cfg_path), "--out", "data") == 0
     assert (tmp_path / "rooted" / "data" / "manifest.csv").exists()
+
+
+def test_empty_env_var_root_exits_2_creating_nothing(tmp_path, monkeypatch, capsys):
+    # an empty DENSEMBLE_ROOT would resolve every path against the working dir
+    (tmp_path / "config.json").write_text(json.dumps({"output": {"root": "outroot"}}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DENSEMBLE_ROOT", "")
+    assert run_cli("generate-data", "--config", "config.json", "--out", "data") == 2
+    assert capsys.readouterr().err == (
+        "config error: DENSEMBLE_ROOT: must be a non-empty path when set\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_evaluate_refuses_attacked_sets_of_another_grid(workdir, capsys):
@@ -1271,6 +1304,35 @@ def test_failed_train_force_leaves_no_manifest_and_no_mix(workdir, monkeypatch, 
                    "--attacks", "atk", "--out", "r/report.csv") == 1
     cache = tmp_path / "ens" / "cor" / "arm2.cache"
     assert f"{cache}: arm_key differs" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_failed_train_keeps_the_arms_it_finished(workdir, monkeypatch, capsys):
+    # each arm is written as it finishes, so arm 2 failing leaves arms 0-1
+    # whole, but no manifest, and evaluate refuses the incomplete kind
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "full") == 0
+    real = ensemble.train_arm
+
+    def train_arm(k, *args):
+        if k == 2:
+            raise RuntimeError("killed")
+        return real(k, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ensemble, "train_arm", train_arm)
+        assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "part") == 1
+    assert "error: arm 2 of cor failed: killed" in capsys.readouterr().err
+    part, full = tmp_path / "part" / "cor", tmp_path / "full" / "cor"
+    assert sorted(p.name for p in part.iterdir()) == [
+        "arm0.cache", "arm0.params", "arm0_curve.csv", "arm1.cache", "arm1.params", "arm1_curve.csv"]
+    for p in part.iterdir():
+        assert p.read_bytes() == (full / p.name).read_bytes(), p.name
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "part", "--out", "atk") == 0
+    assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "part",
+                   "--attacks", "atk", "--out", "r/report.csv") == 1
+    assert f"missing artifact: {part / 'arm2.params'}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,14 +43,15 @@ def replayed_projection(seed, d: int, r: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d), (d, r))
 
 
-def _cache_from(matrix, model_id="arm0"):
+def _cache_from(matrix, model_id="arm0", provenance=None):
     ids = tuple(f"s{i}" for i in range(matrix.shape[0]))
-    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix, provenance={})
+    return FeatureCache(model_id=model_id, sample_ids=ids, features=matrix,
+                        provenance=provenance or {})
 
 
 def one_cache_loss(zk: Tensor, zi: np.ndarray, cfg: DecorConfig, seed) -> Tensor:
     """ensemble_decor_loss against the one frozen batch `zi`, row for row."""
-    return ensemble_decor_loss(zk, [_cache_from(zi)], np.arange(len(zi)), cfg, seed)
+    return ensemble_decor_loss(zk, [zi], np.arange(len(zi)), cfg, seed)
 
 
 @pytest.fixture()
@@ -159,10 +159,9 @@ class TestEnsembleDecorLoss:
         # earlier models the step regresses against
         rng = np.random.default_rng(61)
         zk, f0, f1 = (rng.normal(size=(20, 6)) for _ in range(3))
-        caches = [_cache_from(f0, "arm0"), _cache_from(f1, "arm1")]
         for seed in (FROZEN_SEED, LIVE_SEED):
             del generators[:]
-            ensemble_decor_loss(Tensor(zk), caches, np.arange(20), CFG, seed)
+            ensemble_decor_loss(Tensor(zk), [f0, f1], np.arange(20), CFG, seed)
             assert len(generators) == 1
             assert [p.shape for p in generators[0].normals] == [(6, 5)]
 
@@ -244,7 +243,7 @@ class TestEnsembleDecorLoss:
         zk0 = rng.normal(size=(20, 6))
         frozen = rng.normal(size=(30, 6))
         idx = np.arange(5, 25)
-        loss = ensemble_decor_loss(Tensor(zk0), [_cache_from(frozen)], idx, CFG, 12)
+        loss = ensemble_decor_loss(Tensor(zk0), [frozen], idx, CFG, 12)
         direct = one_cache_loss(Tensor(zk0), frozen[idx], CFG, 12)
         assert abs(loss.item() - direct.item()) < 1e-12
 
@@ -253,8 +252,7 @@ class TestEnsembleDecorLoss:
         zk0 = rng.normal(size=(20, 6))
         frozen = rng.normal(size=(20, 6))
         idx = np.arange(20)
-        caches = [_cache_from(frozen, "arm0"), _cache_from(frozen.copy(), "arm1")]
-        loss = ensemble_decor_loss(Tensor(zk0), caches, idx, CFG, 4)
+        loss = ensemble_decor_loss(Tensor(zk0), [frozen, frozen.copy()], idx, CFG, 4)
         single = one_cache_loss(Tensor(zk0), frozen, CFG, 4)
         assert abs(loss.item() - single.item()) < 1e-12
 
@@ -264,17 +262,15 @@ class TestEnsembleDecorLoss:
         f0 = rng.normal(size=(20, 6))
         f1 = rng.normal(size=(20, 6))
         idx = np.arange(20)
-        loss = ensemble_decor_loss(
-            Tensor(zk0), [_cache_from(f0, "arm0"), _cache_from(f1, "arm1")], idx, CFG, 8
-        )
+        loss = ensemble_decor_loss(Tensor(zk0), [f0, f1], idx, CFG, 8)
         l0 = one_cache_loss(Tensor(zk0), f0, CFG, 8)
         l1 = one_cache_loss(Tensor(zk0), f1, CFG, 8)
         assert abs(loss.item() - (l0.item() + l1.item()) / 2) < 1e-12
 
     def test_missing_rows(self):
-        cache = _cache_from(np.ones((10, 6)))
         with pytest.raises(IndexError):
-            ensemble_decor_loss(Tensor(np.ones((5, 6))), [cache], np.array([8, 12]), CFG, 0)
+            ensemble_decor_loss(Tensor(np.ones((5, 6))), [np.ones((10, 6))], np.array([8, 12]),
+                                CFG, 0)
 
 
 class TestFeatureCache:
@@ -286,11 +282,9 @@ class TestFeatureCache:
         n = 2 * CACHE_BATCH + 44
         params = init_params(self.ARCH, 31)
         x = np.random.default_rng(57).normal(size=(n, 16))
-        ids = [f"s{i}" for i in range(n)]
-        cache = build_cache(params, x, ids, "arm0")
+        features = build_cache(params, x)
         _, feats = forward(params, x)
-        assert np.allclose(cache.features, feats.data, atol=1e-12)
-        assert cache.sample_ids == tuple(ids)
+        assert np.allclose(features, feats.data, atol=1e-12)
 
     def test_traced_peak_of_build_cache(self):
         # a forward pass without gradients frees each activation once the
@@ -298,28 +292,23 @@ class TestFeatureCache:
         # 27.4 MB (64.0 MB with every chunk's graph held to its end)
         params = init_params(ArchConfig(), np.random.SeedSequence(0))
         x = np.random.default_rng(0).standard_normal((405, params.arch.input_length))
-        ids = [f"s{i}" for i in range(405)]
         assert_traced_peak("build_cache over 405 rows",
-                           lambda: build_cache(params, x, ids, "arm0"), 32_000_000)
+                           lambda: build_cache(params, x), 32_000_000)
 
     def test_rebuild_identical(self):
         params = init_params(self.ARCH, 32)
         x = np.random.default_rng(58).normal(size=(9, 16))
-        ids = [f"s{i}" for i in range(9)]
-        a = build_cache(params, x, ids, "arm0")
-        b = build_cache(params, x, ids, "arm0")
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(build_cache(params, x), build_cache(params, x))
 
     def test_cache_vs_live_twin_loss(self):
         params = init_params(self.ARCH, 33)
         rng = np.random.default_rng(59)
         x = rng.normal(size=(14, 16))
-        ids = [f"s{i}" for i in range(14)]
-        cache = build_cache(params, x, ids, "arm0")
+        features = build_cache(params, x)
         live = forward(params, x)[1].data
         zk = Tensor(rng.normal(size=(14, 8)))
         cfg = decor_cfg(projection_dim=4, seed=0)
-        from_cache = ensemble_decor_loss(zk, [cache], np.arange(14), cfg, 6)
+        from_cache = ensemble_decor_loss(zk, [features], np.arange(14), cfg, 6)
         from_live = one_cache_loss(zk, live, cfg, 6)
         assert from_cache.item() == from_live.item()
 
@@ -328,10 +317,15 @@ class TestFeatureCache:
         with pytest.raises(ValueError):
             cache.features[0, 0] = 2.0
 
+    def test_built_features_read_only(self):
+        features = build_cache(init_params(self.ARCH, 34), np.ones((3, 16)))
+        with pytest.raises(ValueError):
+            features[0, 0] = 2.0
+
     def test_save_load_roundtrip(self, tmp_path):
-        cache = _cache_from(np.random.default_rng(60).normal(size=(6, 4)), "arm2")
         provenance = {"arm_key": "a" * 64, "params_sha256": "b" * 64, "train_digest": "c" * 64}
-        save_cache(replace(cache, provenance=provenance), tmp_path / "c.cache")
+        cache = _cache_from(np.random.default_rng(60).normal(size=(6, 4)), "arm2", provenance)
+        save_cache(cache, tmp_path / "c.cache")
         back = load_cache(tmp_path / "c.cache")
         assert back.model_id == "arm2"
         assert back.sample_ids == cache.sample_ids

@@ -24,7 +24,7 @@ from densemble.ensemble import (
     train_arm,
     train_ensemble,
 )
-from densemble.decorrelation import FeatureCache, ensemble_decor_loss
+from densemble.decorrelation import ensemble_decor_loss
 from densemble.model import ArchConfig, forward, init_params, make_param_tensors, save_params
 from densemble.signals import preprocess, split, synthesize
 
@@ -173,62 +173,61 @@ class TestTraining:
     def test_cor_reduces_to_plain_ce(self, small_data):
         # identical seeds, decorrelation path never taken -> identical params
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        a = train_arm(1, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
-                      SMALL_DECOR, [], BANK)
-        b = train_arm(1, ArmRole(None, True), x, y, ids, ARCH, SMALL_TRAIN,
-                      SMALL_DECOR, [], BANK)  # decorrelate=True but no caches
+        x, y = train.signals, train.labels
+        a = train_arm(1, ArmRole(None, False), x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, [], BANK)
+        b = train_arm(1, ArmRole(None, True), x, y, ARCH, SMALL_TRAIN,
+                      SMALL_DECOR, [], BANK)  # decorrelate=True but no frozen features
         for name in a.params.tensors:
             assert np.array_equal(a.params.tensors[name], b.params.tensors[name])
 
     def test_dec_weight_zero_reproduces_cor(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
+        x, y = train.signals, train.labels
         lam0 = decor_from_config(small_cfg("decor", weight=0.0))
-        cor = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
-        dec = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, lam0, BANK, {})
+        cor = [r for _, r in train_ensemble("cor", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {})]
+        dec = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {})]
         for rc, rd in zip(cor, dec):
             for name in rc.params.tensors:
                 assert np.array_equal(rc.params.tensors[name], rd.params.tensors[name])
-            assert np.array_equal(rc.cache.features, rd.cache.features)
+            assert np.array_equal(rc.features, rd.features)
 
     def test_deterministic_retraining(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        a = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        b = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
+        x, y = train.signals, train.labels
+        a = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})]
+        b = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})]
         for ra, rb in zip(a, b):
             for name in ra.params.tensors:
                 assert np.array_equal(ra.params.tensors[name], rb.params.tensors[name])
 
     def test_retraining_one_arm_leaves_others_untouched(self, small_data, tmp_path):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
+        x, y = train.signals, train.labels
+        results = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR,
+                                                BANK, {})]
         for k, res in enumerate(results):
             save_params(res.params, tmp_path / f"arm{k}.params", model_id=f"arm{k}")
         before = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
-        # retrain arm 2 alone from the stored caches
-        train_arm(2, arm_roles("dec")[2], x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR,
-                  [results[0].cache, results[1].cache], BANK)
+        # retrain arm 2 alone from the stored features
+        train_arm(2, arm_roles("dec")[2], x, y, ARCH, SMALL_TRAIN, SMALL_DECOR,
+                  [results[0].features, results[1].features], BANK)
         after = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
         assert before == after
 
     def test_decor_step_descends_ce_plus_weighted_decor_loss(self, small_data, monkeypatch):
         # a dec arm 1's first step: the gradients handed to Adam are those of
-        # ce + weight * ensemble_decor_loss against arm 0's cache, at the
+        # ce + weight * ensemble_decor_loss against arm 0's features, at the
         # step seed (decor.seed, k, step)
         train, _ = small_data
         x, y, ids = train.signals, train.labels, train.ids
         decor = decor_from_config(small_cfg("decor", weight=0.7))
-        cache = FeatureCache("arm0", tuple(ids), np.random.default_rng(65).normal(
-            size=(len(ids), ARCH.feature_dim)), {})
+        frozen = np.random.default_rng(65).normal(size=(len(ids), ARCH.feature_dim))
         seen = []
         real = ensemble.adam_step
         monkeypatch.setattr(ensemble, "adam_step", lambda params, grads, *a: seen.append(
             {k: g.copy() for k, g in grads.items()}) or real(params, grads, *a))
         one_epoch = train_from_config(small_cfg("train", epochs=1))
-        train_arm(1, ArmRole(None, True), x, y, ids, ARCH, one_epoch, decor, [cache], BANK)
+        train_arm(1, ArmRole(None, True), x, y, ARCH, one_epoch, decor, [frozen], BANK)
 
         params = init_params(ARCH, np.random.SeedSequence([one_epoch.init_seed, 1]))
         perm = np.random.default_rng(
@@ -236,7 +235,7 @@ class TestTraining:
         bidx = batch_schedule(len(ids), one_epoch.batch_size, perm)[0]
         ce_pt, cor_pt = make_param_tensors(params), make_param_tensors(params)
         ad.softmax_cross_entropy(forward(params, x[bidx], ce_pt)[0], y[bidx]).backward()
-        ensemble_decor_loss(forward(params, x[bidx], cor_pt)[1], [cache], bidx, decor,
+        ensemble_decor_loss(forward(params, x[bidx], cor_pt)[1], [frozen], bidx, decor,
                             np.random.SeedSequence([decor.seed, 1, 0])).backward()
         for name, g in seen[0].items():  # the head is not under the penalty
             cor_g = 0.0 if name.startswith("head.") else decor.weight * cor_pt[name].grad
@@ -246,27 +245,26 @@ class TestTraining:
 
     def test_decor_arm_needs_large_batches(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        base = train_arm(0, ArmRole(None, False), x, y, ids, ARCH, SMALL_TRAIN,
-                         SMALL_DECOR, [], BANK)
+        x, y = train.signals, train.labels
+        base = train_arm(0, ArmRole(None, False), x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, [], BANK)
         small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
         with pytest.raises(ValueError, match="underdetermined"):
-            train_arm(1, ArmRole(None, True), x, y, ids, ARCH, small_batches,
-                      SMALL_DECOR, [base.cache], BANK)
+            train_arm(1, ArmRole(None, True), x, y, ARCH, small_batches,
+                      SMALL_DECOR, [base.features], BANK)
 
     def test_decor_batch_rule_names_the_binding_bound(self, small_data):
         # projection_dim 8 <= feature_dim 12, so the regressor's 12 columns bind
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
+        x, y = train.signals, train.labels
         small_batches = train_from_config(small_cfg("train", epochs=1, batch_size=9))
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=13, got 9")):
-            train_ensemble("dec", x, y, ids, ARCH, small_batches, SMALL_DECOR, BANK, {})
+            list(train_ensemble("dec", x, y, ARCH, small_batches, SMALL_DECOR, BANK, {}))
 
     def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
+        x, y = train.signals, train.labels
         calls = []
         real = ensemble.train_arm
         monkeypatch.setattr(ensemble, "train_arm",
@@ -278,13 +276,32 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=9, got 9")):
-            train_ensemble("dec", x, y, ids, arch, small_batches, decor, BANK, {})
+            list(train_ensemble("dec", x, y, arch, small_batches, decor, BANK, {}))
         assert calls == []
+
+    def test_yields_each_arm_before_the_next_trains(self, small_data, monkeypatch):
+        # a known arm yields None and its given features reach the later arms
+        train, _ = small_data
+        frozen = []
+        real = ensemble.train_arm
+        monkeypatch.setattr(ensemble, "train_arm",
+                            lambda *a: frozen.append((a[0], list(a[7]))) or real(*a))
+        known = np.random.default_rng(66).normal(size=(len(train.ids), ARCH.feature_dim))
+        arms = train_ensemble("dec", train.signals, train.labels, ARCH, SMALL_TRAIN,
+                              SMALL_DECOR, BANK, {0: known})
+        assert next(arms) == (0, None) and frozen == []
+        k, arm1 = next(arms)
+        assert k == 1 and [a for a, _ in frozen] == [1]
+        assert [id(f) for f in frozen[0][1]] == [id(known)]
+        assert next(arms)[0] == 2
+        assert [id(f) for f in frozen[1][1]] == [id(known), id(arm1.features)]
+        assert next(arms, None) is None
 
     def test_curve_columns(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("dec", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
+        x, y = train.signals, train.labels
+        results = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR,
+                                                BANK, {})]
         assert all("cor" not in row for row in results[0].curve)
         assert all("cor" in row for row in results[1].curve)
         assert all("cor" in row for row in results[2].curve)
@@ -307,17 +324,17 @@ class TestEvaluate:
 class TestCorrelationReport:
     def test_self_r2_is_one(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        rep = correlation_report([r.cache.features for r in results])
+        x, y = train.signals, train.labels
+        rep = correlation_report([r.features for _, r in train_ensemble(
+            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})])
         for i in range(3):
             assert abs(rep["matrix"][i][i] - 1.0) < 1e-8
 
     def test_values_clamped_and_structured(self, small_data):
         train, _ = small_data
-        x, y, ids = train.signals, train.labels, train.ids
-        results = train_ensemble("cor", x, y, ids, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})
-        rep = correlation_report([r.cache.features for r in results])
+        x, y = train.signals, train.labels
+        rep = correlation_report([r.features for _, r in train_ensemble(
+            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})])
         for row in rep["matrix"]:
             assert all(0.0 <= v <= 1.0 for v in row)
         assert set(rep["pairs"]) == {"0-1", "0-2", "1-2"}
