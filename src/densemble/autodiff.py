@@ -229,9 +229,10 @@ def conv1d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
         cols = None  # only the weight adjoint reads it; the graph need not hold it
 
     def bw(g: np.ndarray) -> None:
+        nonlocal cols
         gc = g.transpose(1, 0, 2).reshape(c_out, n * l_out)  # channel-major, one copy at most
         if w.requires_grad:  # a contiguous right operand keeps the GEMM's bytes
-            gw = cols @ np.ascontiguousarray(gc.T)
+            gw, cols = cols @ np.ascontiguousarray(gc.T), None  # freed before the input adjoint
             w._accumulate(gw.reshape(c, k, c_out).transpose(2, 0, 1))
         if x.requires_grad:
             wt = w.data.transpose(1, 2, 0).reshape(c * k, c_out)

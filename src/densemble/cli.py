@@ -52,8 +52,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, args: dict) -> None:
 
 
 def _load_splits(cfg: dict):
-    """Dataset -> (train, test, train digest), both splits preprocessed with
-    train-split stats."""
+    """Dataset -> (train, test, train digest), both splits preprocessed with train-split
+    stats; every command refuses a train split that evaluate could not regress over."""
     data = cfg["data"]
     if data["source"] == "manifest":
         manifest = resolve_path(cfg, data["manifest"])
@@ -64,9 +64,21 @@ def _load_splits(cfg: dict):
         raise ValueError(f"{manifest}: {labels} labels, but data.num_classes is "
                          f"{data['num_classes']}")
     train_raw, test_raw = split(ds, data["train_fraction"], data["seeds"]["split"])
+    if (n := len(train_raw.ids)) <= (dim := cfg["arch"]["feature_dim"]) + 1:  # correlation_r2
+        raise ValueError(f"correlation.json regresses each arm's features over the {n} train "
+                         f"rows, which must exceed arch.feature_dim+1 = {dim + 1}")
     train, stats = preprocess(train_raw, data["length"])
     test, _ = preprocess(test_raw, data["length"], stats=stats)
     return train, test, digest(train.ids, train.labels, train.signals)
+
+
+def _workers() -> int:
+    """`train`'s and `attack`'s pool size: usable CPUs over numpy's BLAS threads, at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # numpy's BLAS starts the threads the first positive thread variable names, else one per CPU
+    blas = next((int(v) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+                 if (v := os.environ.get(var, "")).isdecimal() and int(v) > 0), cpus)
+    return max(1, cpus // blas)
 
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
@@ -161,7 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for k, res in train_ensemble(kind, train.signals, train.labels, arch_from_config(cfg),
                                  train_from_config(cfg), decor_from_config(cfg),
                                  bank_from_config(cfg),
-                                 {k: hit[1].features for k, hit in found.items()}):
+                                 {k: hit[1].features for k, hit in found.items()}, _workers()):
         if res is None:
             other, cache, params, curve = found[k]
             write_bytes(out_dir / f"arm{k}.params", params)
@@ -207,12 +219,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     grid = attack_cells(cfg)
     mask = predict(base, test.signals) == test.labels  # scores every cell, as in evaluate
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # numpy's BLAS starts the threads the first positive thread variable names, else one per CPU
-    blas = next((int(v) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-                 if (v := os.environ.get(var, "")).isdecimal() and int(v) > 0), cpus)
     craft = lambda spec: craft_set(test.signals, test.labels, test.ids, mask, spec, base, base_sha)
-    pool = ThreadPoolExecutor(max(1, cpus // blas))  # starts the cells in grid order
+    pool = ThreadPoolExecutor(_workers())  # starts the cells in grid order
     try:
         futures = [pool.submit(craft, spec) for _, spec in grid]
         natural = [signal_text(row) for row in test.signals]  # every cell writes these bytes
@@ -237,9 +245,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kinds, arm0, base_sha = _base_arm(ensemble_dir)
     bank = bank_from_config(cfg)
     train, test, train_digest = _load_splits(cfg)
-    if (n := len(train.ids)) <= (dim := cfg["arch"]["feature_dim"]) + 1:  # correlation_r2: N > P+1
-        raise ValueError(f"correlation.json regresses each arm's features over the {n} train "
-                         f"rows, which must exceed arch.feature_dim+1 = {dim + 1}")
 
     loaded = []
     for name, spec in attack_cells(cfg):
@@ -325,15 +330,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_heap() -> None:
-    """Pin glibc's mmap and trim thresholds at 16 and 32 MiB, above a step's
-    largest temporary (14.7 MB at the reference sizes), so each step reuses the
-    heap the last one freed instead of faulting it back in from the OS.  It
-    changes no byte; off glibc it does nothing (musl's mallopt ignores both)."""
+    """Pin glibc's mmap and trim thresholds at 16 and 32 MiB, above a step's largest
+    temporary (14.7 MB at the reference sizes), so a step reuses the heap the last one
+    freed rather than faulting it in again, and its arenas at one, so pool threads do
+    not each open an arena that keeps a second copy of freed memory.  It changes no
+    byte; off glibc it does nothing (musl's mallopt ignores all three)."""
     try:
         if sys.platform == "linux":
             mallopt = ctypes.CDLL(None).mallopt
             mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
             mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+            mallopt(-8, 1)  # M_ARENA_MAX
     except (OSError, AttributeError, TypeError):
         pass
 

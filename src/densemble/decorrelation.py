@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 
-# Rows per forward pass when a trained arm's feature cache is built.
-CACHE_BATCH = 256
+# Rows per forward pass when a trained arm's feature cache is built: the reference train
+# batch, so the build peaks below a step (never 1 row: one-row products take another path).
+CACHE_BATCH = 80
 
 
 @dataclass(frozen=True)

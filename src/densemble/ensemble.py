@@ -1,14 +1,14 @@
-"""Sequential training of three-arm ensembles and their evaluation.
+"""Training of three-arm ensembles and their evaluation.
 
 Four ensemble kinds share one recipe: arm 0 is always an unfiltered
 cross-entropy baseline (the attack target); arms 1 and 2 optionally see
 a single spectral band of the input (fcor / fdec) and optionally carry
 the decorrelation penalty against all previously trained arms (dec /
-fdec).  Arms train strictly in order because each decorrelating arm
-regresses against the frozen features of its predecessors; an arm whose
-features are already known (copied from another kind) is skipped.
+fdec).  A decorrelating arm waits for the frozen features of every arm
+before it, which it regresses against; the other arms train side by side
+on threads.  An arm whose features are known (from another kind) is skipped.
 
-Everything is deterministic given the config seeds: data shuffling,
+Everything is deterministic given the config seeds, on any thread:
 initialization and projection draws use separate named streams, so a
 kind that skips the decorrelation path reproduces the plain baseline
 bit for bit.
@@ -16,6 +16,7 @@ bit for bit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -227,27 +228,33 @@ def train_ensemble(
     decor_cfg: DecorConfig,
     bank: RingFilterBank,
     known: Mapping[int, np.ndarray],
+    workers: int,
 ) -> Iterator[tuple[int, ArmResult | None]]:
-    """Train the three arms strictly sequentially, yielding `(k, result)` as
-    each finishes; the arms in `known`, whose feature matrices are given,
-    yield None.  Each decorrelating arm sees the features of every arm before it."""
+    """Train the three arms on a pool of `workers` threads and yield `(k, result)` in arm
+    order; the arms in `known`, whose features are given, yield None.  A decorrelating
+    arm starts once every arm before it has features, the others with the first trained."""
     roles = arm_roles(kind)
-    feats: list[np.ndarray] = []
+    decor = [role.decorrelates(decor_cfg) for role in roles]
+    feats, futures = [], {}
     batch = min(cfg.batch_size, train_x.shape[0])  # every regressor has feature_dim columns
+    pool = ThreadPoolExecutor(workers)
     try:
-        for k, role in enumerate(roles):  # check every arm's batches before any trains
-            if role.decorrelates(decor_cfg) and batch <= arch.feature_dim + 1:
+        for k in range(len(roles)):  # check every arm's batches before any trains
+            if decor[k] and batch <= arch.feature_dim + 1:
                 raise ValueError("decorrelation regression needs batches larger than "
                                  f"feature_dim+1={arch.feature_dim + 1}, got {batch}")
-        for k, role in enumerate(roles):
-            res = None if k in known else train_arm(
-                k, role, train_x, train_y, arch, cfg, decor_cfg,
-                list(feats) if role.decorrelates(decor_cfg) else [], bank,
-            )
+        for k in range(len(roles)):
+            for j in () if k in known else range(k, len(roles)):  # each arm whose regressors exist
+                if j not in known and j not in futures and (j == k or not decor[j]):
+                    futures[j] = pool.submit(train_arm, j, roles[j], train_x, train_y, arch, cfg,
+                                             decor_cfg, list(feats) if decor[j] else [], bank)
+            res = futures[k].result() if k in futures else None
             feats.append(known[k] if res is None else res.features)
             yield k, res
     except Exception as exc:
         raise RuntimeError(f"arm {k} of {kind} failed: {exc}") from exc
+    finally:  # however the loop ends, the arms not started are dropped
+        pool.shutdown(cancel_futures=True)
 
 
 def evaluate_arms(correct: np.ndarray, mask: np.ndarray) -> dict[str, float]:

@@ -398,19 +398,21 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _pool_sizes(monkeypatch) -> list[int]:
-    # the worker count of every pool that attack opens
-    sizes, real = [], cli.ThreadPoolExecutor
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda n: sizes.append(n) or real(n))
+def _pool_sizes(monkeypatch, module=cli) -> list[int]:
+    # the worker count of every pool that `module` opens: cli's for attack,
+    # ensemble's for train
+    sizes, real = [], module.ThreadPoolExecutor
+    monkeypatch.setattr(module, "ThreadPoolExecutor", lambda n: sizes.append(n) or real(n))
     return sizes
 
 
 def test_attack_pool_leaves_blas_its_threads(workdir, monkeypatch):
-    # workers = cpus // the first positive thread variable, else cpus // cpus
+    # workers = cpus // the first positive thread variable, else cpus // cpus,
+    # for attack's pool and train's alike
     _, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
     assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
-    sizes = _pool_sizes(monkeypatch)
+    sizes, train_sizes = _pool_sizes(monkeypatch), _pool_sizes(monkeypatch, ensemble)
     cases = [({}, 2, 1), ({}, 1, 1),  # unset: numpy's BLAS starts one thread per CPU
              ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4), ({"OMP_NUM_THREADS": "2"}, 4, 2),
              ({"MKL_NUM_THREADS": "4"}, 2, 1),
@@ -423,7 +425,8 @@ def test_attack_pool_leaves_blas_its_threads(workdir, monkeypatch):
             monkeypatch.setenv(var, value)
         _cpus(monkeypatch, cpus)
         assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", f"atk{i}") == 0
-    assert sizes == [workers for _, _, workers in cases]
+        assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", f"ens{i}") == 0
+    assert sizes == train_sizes == [workers for _, _, workers in cases]
 
 
 def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
@@ -449,6 +452,55 @@ def test_attack_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
     assert trees[1] == trees[2] == trees[4] and sizes == [1, 2, 4]
 
 
+def test_train_bytes_do_not_depend_on_cpus(workdir, monkeypatch):
+    # arms trained side by side on pool threads are the arms a serial loop
+    # trains: cor's three at once, fcor's two beside each other after the
+    # copied arm 0, and dec's chain one after another
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # so the pool has cpus threads
+    sizes = _pool_sizes(monkeypatch, ensemble)
+    trees, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a shared write would show
+    try:
+        for n in (1, 2, 4):  # 4: more pool threads than cor has arms
+            _cpus(monkeypatch, n)
+            for kind in ("cor", "fcor", "dec"):
+                assert run_cli("train", "--config", cfg, "--kind", kind, "--out", "ens") == 0
+            (tmp_path / "ens").rename(tmp_path / f"ens{n}")
+            trees[n] = _tree(tmp_path / f"ens{n}")
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(p.endswith(".params") for p in trees[1]) == 9
+    assert trees[1] == trees[2] == trees[4] and sizes == [1] * 3 + [2] * 3 + [4] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_train_failure_keeps_arm_order_at_any_cpu_count(workdir, monkeypatch, capsys, cpus):
+    # arm 1 fails while arm 2 may already be training on another thread:
+    # arm 0 is whole, nothing after it is written and no manifest is left
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "full") == 0
+    real = ensemble.train_arm
+
+    def train_arm(k, *args):
+        if k == 1:
+            raise RuntimeError("killed")
+        return real(k, *args)
+
+    monkeypatch.setattr(ensemble, "train_arm", train_arm)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # so the pool has cpus threads
+    _cpus(monkeypatch, cpus)
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "part") == 1
+    err = capsys.readouterr().err
+    assert "error: arm 1 of cor failed: killed" in err and err.count("failed") == 1
+    part, full = tmp_path / "part" / "cor", tmp_path / "full" / "cor"
+    assert sorted(p.name for p in part.iterdir()) == ["arm0.cache", "arm0.params", "arm0_curve.csv"]
+    for p in part.iterdir():
+        assert p.read_bytes() == (full / p.name).read_bytes(), p.name
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_main_keeps_the_heap_a_step_frees():
     # four 5 MiB temporaries, freed and allocated again 20 times as a step
@@ -472,6 +524,34 @@ def test_main_keeps_the_heap_a_step_frees():
     faults = int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                 capture_output=True, text=True).stdout)
     assert faults < 1000, f"{faults} minor faults over 20 steps of 20 MiB"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc arenas")
+def test_main_lets_pool_threads_reuse_the_heap_the_command_freed():
+    # a pool thread allocates from the heap the command's thread freed, not
+    # from an arena of its own (about 20 MB more peak RSS and 2,000 faults)
+    script = textwrap.dedent("""
+        import contextlib, io, resource, threading
+        import numpy as np
+        from densemble import cli
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["train"]) == 2  # exits at the parse
+        def step():
+            temporaries = [np.ones(5 << 17) for _ in range(4)]
+            del temporaries
+        step()  # the command's thread faults the pages in, then frees them
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        worker = threading.Thread(target=lambda: [step() for _ in range(20)])
+        worker.start()
+        worker.join()
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        print(after.ru_maxrss - before.ru_maxrss, after.ru_minflt - before.ru_minflt)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(densemble.__file__).parents[1]))
+    rise_kb, faults = map(int, subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                              capture_output=True, text=True).stdout.split())
+    assert rise_kb < 4096 and faults < 1000, (
+        f"a pool thread's 20 steps of 20 MiB: peak RSS +{rise_kb} kB, {faults} minor faults")
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -730,20 +810,30 @@ def test_evaluate_missing_artifact_exits_1(workdir, capsys):
 def test_evaluate_refuses_too_few_train_rows_before_predicting(workdir, monkeypatch, capsys,
                                                                feature_dim):
     # correlation.json regresses each arm's features over the 20 train rows,
-    # so they must exceed feature_dim+1; 19 is the boundary
+    # so they must exceed feature_dim+1 (19 is the boundary): train and attack
+    # refuse before they write anything, and evaluate before it predicts
     tmp_path, _ = workdir
+    refusal = ("error: correlation.json regresses each arm's features over the 20 train rows, "
+               f"which must exceed arch.feature_dim+1 = {feature_dim + 1}\n")
+    fits = str(Path(_other_config(tmp_path, "arch.feature_dim", 18))  # 20 rows > 19
+               .rename(tmp_path / "fits.json"))
     cfg = _other_config(tmp_path, "arch.feature_dim", feature_dim)
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
-    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
-    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 1
+    assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "ens").exists()
+    assert run_cli("train", "--config", fits, "--kind", "cor", "--out", "ens") == 0
+    assert run_cli("attack", "--config", cfg, "--ensemble-dir", "ens", "--out", "atk") == 1
+    assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "atk").exists()
+    assert run_cli("attack", "--config", fits, "--ensemble-dir", "ens", "--out", "atk") == 0
     capsys.readouterr()
     calls, real = [], cli.predict
     monkeypatch.setattr(cli, "predict", lambda *a: calls.append(1) or real(*a))
     assert run_cli("evaluate", "--config", cfg, "--ensemble-dir", "ens",
                    "--attacks", "atk", "--out", "r/report.csv") == 1
-    assert capsys.readouterr().err == (
-        "error: correlation.json regresses each arm's features over the 20 train rows, "
-        f"which must exceed arch.feature_dim+1 = {feature_dim + 1}\n")
+    assert capsys.readouterr().err == refusal
     assert calls == []
     assert not (tmp_path / "r").exists()
 

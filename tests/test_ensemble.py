@@ -184,8 +184,8 @@ class TestTraining:
         train, _ = small_data
         x, y = train.signals, train.labels
         lam0 = decor_from_config(small_cfg("decor", weight=0.0))
-        cor = [r for _, r in train_ensemble("cor", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {})]
-        dec = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {})]
+        cor = [r for _, r in train_ensemble("cor", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {}, 1)]
+        dec = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, lam0, BANK, {}, 1)]
         for rc, rd in zip(cor, dec):
             for name in rc.params.tensors:
                 assert np.array_equal(rc.params.tensors[name], rd.params.tensors[name])
@@ -194,8 +194,10 @@ class TestTraining:
     def test_deterministic_retraining(self, small_data):
         train, _ = small_data
         x, y = train.signals, train.labels
-        a = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})]
-        b = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})]
+        a = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK,
+                                            {}, 1)]
+        b = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK,
+                                            {}, 1)]
         for ra, rb in zip(a, b):
             for name in ra.params.tensors:
                 assert np.array_equal(ra.params.tensors[name], rb.params.tensors[name])
@@ -204,7 +206,7 @@ class TestTraining:
         train, _ = small_data
         x, y = train.signals, train.labels
         results = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR,
-                                                BANK, {})]
+                                                BANK, {}, 1)]
         for k, res in enumerate(results):
             save_params(res.params, tmp_path / f"arm{k}.params", model_id=f"arm{k}")
         before = [(tmp_path / f"arm{k}.params").read_bytes() for k in range(2)]
@@ -260,7 +262,7 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=13, got 9")):
-            list(train_ensemble("dec", x, y, ARCH, small_batches, SMALL_DECOR, BANK, {}))
+            list(train_ensemble("dec", x, y, ARCH, small_batches, SMALL_DECOR, BANK, {}, 1))
 
     def test_small_decor_batches_fail_before_any_arm_trains(self, small_data, monkeypatch):
         train, _ = small_data
@@ -276,7 +278,7 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=re.escape(
                 "arm 1 of dec failed: decorrelation regression needs batches larger than "
                 "feature_dim+1=9, got 9")):
-            list(train_ensemble("dec", x, y, arch, small_batches, decor, BANK, {}))
+            list(train_ensemble("dec", x, y, arch, small_batches, decor, BANK, {}, 1))
         assert calls == []
 
     def test_yields_each_arm_before_the_next_trains(self, small_data, monkeypatch):
@@ -288,7 +290,7 @@ class TestTraining:
                             lambda *a: frozen.append((a[0], list(a[7]))) or real(*a))
         known = np.random.default_rng(66).normal(size=(len(train.ids), ARCH.feature_dim))
         arms = train_ensemble("dec", train.signals, train.labels, ARCH, SMALL_TRAIN,
-                              SMALL_DECOR, BANK, {0: known})
+                              SMALL_DECOR, BANK, {0: known}, 1)
         assert next(arms) == (0, None) and frozen == []
         k, arm1 = next(arms)
         assert k == 1 and [a for a, _ in frozen] == [1]
@@ -301,7 +303,7 @@ class TestTraining:
         train, _ = small_data
         x, y = train.signals, train.labels
         results = [r for _, r in train_ensemble("dec", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR,
-                                                BANK, {})]
+                                                BANK, {}, 1)]
         assert all("cor" not in row for row in results[0].curve)
         assert all("cor" in row for row in results[1].curve)
         assert all("cor" in row for row in results[2].curve)
@@ -326,7 +328,7 @@ class TestCorrelationReport:
         train, _ = small_data
         x, y = train.signals, train.labels
         rep = correlation_report([r.features for _, r in train_ensemble(
-            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})])
+            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {}, 1)])
         for i in range(3):
             assert abs(rep["matrix"][i][i] - 1.0) < 1e-8
 
@@ -334,7 +336,7 @@ class TestCorrelationReport:
         train, _ = small_data
         x, y = train.signals, train.labels
         rep = correlation_report([r.features for _, r in train_ensemble(
-            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {})])
+            "cor", x, y, ARCH, SMALL_TRAIN, SMALL_DECOR, BANK, {}, 1)])
         for row in rep["matrix"]:
             assert all(0.0 <= v <= 1.0 for v in row)
         assert set(rep["pairs"]) == {"0-1", "0-2", "1-2"}

@@ -125,8 +125,9 @@ class TestForward:
 
     def test_traced_peak_of_a_training_step(self):
         # one batch-80 cross-entropy forward and backward with the default
-        # arch, each conv block one conv+bias+ReLU node: about 20.5 MB (28.4 MB
-        # with the bias add and ReLU as nodes of their own)
+        # arch, each conv block one conv+bias+ReLU node whose backward frees its
+        # im2col matrix before the input adjoint: about 17.3 MB (20.5 MB with the
+        # matrix held to the end; 28.4 MB with the bias add and ReLU as nodes)
         params = init_params(ArchConfig(), np.random.SeedSequence(0))
         x = np.random.default_rng(1).standard_normal((80, params.arch.input_length))
         y = np.arange(80) % 3
@@ -135,7 +136,7 @@ class TestForward:
             logits, _ = forward(params, x, param_tensors=make_param_tensors(params))
             ad.softmax_cross_entropy(logits, y).backward()
 
-        assert_traced_peak("a batch-80 cross-entropy step", step, 23_000_000)
+        assert_traced_peak("a batch-80 cross-entropy step", step, 19_000_000)
 
 
 class TestPredict:
