@@ -1,18 +1,2 @@
 """Decorrelated and frequency-partitioned ensembles of 1-D signal
 classifiers, with PGD/SAP adversarial robustness evaluation."""
-
-from . import autodiff, fourier, signals, model, decorrelation, attacks, ensemble, config
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "autodiff",
-    "fourier",
-    "signals",
-    "model",
-    "decorrelation",
-    "attacks",
-    "ensemble",
-    "config",
-    "__version__",
-]

@@ -67,8 +67,7 @@ def _load_splits(cfg: dict):
     if (n := len(train_raw.ids)) <= (dim := cfg["arch"]["feature_dim"]) + 1:  # correlation_r2
         raise ValueError(f"correlation.json regresses each arm's features over the {n} train "
                          f"rows, which must exceed arch.feature_dim+1 = {dim + 1}")
-    train, stats = preprocess(train_raw, data["length"])
-    test, _ = preprocess(test_raw, data["length"], stats=stats)
+    train, test = preprocess(train_raw, test_raw, data["length"])
     return train, test, digest(train.ids, train.labels, train.signals)
 
 
@@ -81,8 +80,7 @@ def _workers() -> int:
     return max(1, cpus // blas)
 
 
-def cmd_generate_data(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_generate_data(args: argparse.Namespace, cfg: dict) -> int:
     data = cfg["data"]
     if data["source"] != "synthetic":
         raise ConfigError("generate-data requires data.source == 'synthetic'")
@@ -145,8 +143,7 @@ def _checked_cache(kind_dir: Path, k: int, key: str, train_ids: list[str], train
     return cache, params, load_params(params_path, params)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     kind = args.kind
     out_root = resolve_path(cfg, args.out)
     out_dir = out_root / kind
@@ -159,15 +156,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     # An arm already trained under another kind of this --out is copied, not
     # trained again; the own kind is never a source, so --force retrains.
     found = {}
-    for k, key in enumerate(keys):
+    for k, (key, role) in enumerate(zip(keys, arm_roles(kind))):
+        header = ["epoch", "ce"] + ["cor"] * role.decorrelates(decor_from_config(cfg))
         for other in (o for o in KINDS if o != kind):
             try:
                 cache, params, _ = _checked_cache(out_root / other, k, key, train.ids, train_digest,
                                                   None)
-                curve = (out_root / other / f"arm{k}_curve.csv").read_bytes()
+                curve = [row for _, row in read_csv(out_root / other / f"arm{k}_curve.csv", header)]
+                if curve != [[str(e)] + [repr(float(v)) for v in row[1:]]  # as _write_curve writes
+                             for e, row in enumerate(curve)] or len(curve) != cfg["train"]["epochs"]:
+                    raise ValueError("not this arm's curve")
             except (OSError, ValueError):  # absent, damaged, stale or of another config
                 continue
-            found[k] = other, cache, params, curve
+            found[k] = other, cache, params, (header, curve)
             break
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
     for k, res in train_ensemble(kind, train.signals, train.labels, arch_from_config(cfg),
@@ -178,7 +179,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             other, cache, params, curve = found[k]
             write_bytes(out_dir / f"arm{k}.params", params)
             save_cache(cache, out_dir / f"arm{k}.cache")
-            write_bytes(out_dir / f"arm{k}_curve.csv", curve)
+            write_csv(out_dir / f"arm{k}_curve.csv", *curve)
             print(f"arm{k}: copied from {Path(args.out) / other} (key {keys[k][:8]})")
             continue
         blob = save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
@@ -207,8 +208,7 @@ def _base_arm(ensemble_dir: Path) -> tuple[list[str], bytes, str]:
     return kinds, blobs[kinds[0]], hashlib.sha256(blobs[kinds[0]]).hexdigest()
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_attack(args: argparse.Namespace, cfg: dict) -> int:
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     out_dir = resolve_path(cfg, args.out)
     kinds, arm0, base_sha = _base_arm(ensemble_dir)
@@ -237,8 +237,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     ensemble_dir = resolve_path(cfg, args.ensemble_dir)
     attacks_dir = resolve_path(cfg, args.attacks)
     report_path = resolve_path(cfg, args.out)
@@ -353,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -233,21 +233,14 @@ def _fit_length(sig: np.ndarray, length: int) -> np.ndarray:
     return np.pad(sig, (d // 2, d - d // 2))
 
 
-def preprocess(
-    ds: Dataset, length: int, stats: tuple[float, float] | None = None
-) -> tuple[Dataset, tuple[float, float]]:
-    """Crop/pad every record to `length`, stack them, then z-score; returns
-    the dataset and its `(mean, std)`.
-
-    When `stats` is None the normalization statistics are computed from
-    this dataset (call on the training split first and pass its stats
-    when preprocessing the test split, so nothing leaks).
-    """
-    fitted = np.stack([_fit_length(s, length) for s in ds.signals])
-    if stats is None:
-        stats = float(fitted.mean()), max(float(fitted.std()), 1e-8)
-    mean, std = stats
-    return Dataset(list(ds.ids), ds.labels, (fitted - mean) / std), stats
+def preprocess(train: Dataset, test: Dataset, length: int) -> tuple[Dataset, Dataset]:
+    """Crop/pad every record of both splits to `length`, stack each split into
+    one matrix, then z-score both with the train split's mean and std."""
+    train_x = np.stack([_fit_length(s, length) for s in train.signals])
+    test_x = np.stack([_fit_length(s, length) for s in test.signals])
+    mean, std = float(train_x.mean()), max(float(train_x.std()), 1e-8)
+    return (Dataset(list(train.ids), train.labels, (train_x - mean) / std),
+            Dataset(list(test.ids), test.labels, (test_x - mean) / std))
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -45,8 +45,7 @@ def toy():
     """Small trained model plus its test split; enough accuracy to attack."""
     ds = synthesize(synth_from_config(CFG), 77)
     train_raw, test_raw = split(ds, 0.9, 78)
-    train, stats = preprocess(train_raw, 128)
-    test, _ = preprocess(test_raw, 128, stats=stats)
+    train, test = preprocess(train_raw, test_raw, 128)
     res = train_arm(
         0, ArmRole(band=None, decorrelate=False),
         train.signals, train.labels,

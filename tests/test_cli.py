@@ -187,6 +187,35 @@ def test_module_run_executes_the_cli(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def test_importing_the_package_loads_no_module(tmp_path):
+    # `import densemble` runs only the package docstring: import what you use
+    env = dict(os.environ, PYTHONPATH=str(Path(densemble.__file__).parents[1]))
+    code = ("import sys, densemble; "
+            "print(sorted(m for m in sys.modules if m.startswith(('densemble.', 'numpy'))))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_each_command_records_its_args_and_resolved_config(workdir):
+    tmp_path, cfg = workdir
+    resolved = json.loads(json.dumps(config.resolve_config(json.loads(Path(cfg).read_text()))))
+    runs = [
+        (("generate-data", "--out", "data"), "data", {"out": "data"}),
+        (("train", "--kind", "dec", "--out", "ens", "--force"), "ens/dec",
+         {"kind": "dec", "out": "ens"}),
+        (("attack", "--ensemble-dir", "ens", "--out", "atk"), "atk",
+         {"ensemble_dir": "ens", "out": "atk"}),
+        (("evaluate", "--ensemble-dir", "ens", "--attacks", "atk", "--out", "res/report.csv"),
+         "res", {"ensemble_dir": "ens", "attacks": "atk", "out": "res/report.csv"}),
+    ]
+    for (command, *flags), out, args in runs:
+        assert run_cli(command, "--config", cfg, *flags) == 0
+        manifest = json.loads((tmp_path / out / "run_manifest.json").read_text())
+        assert manifest == {"command": command, "args": args, "config": resolved}
+
+
 def test_train_writes_artifacts_and_curves(workdir):
     tmp_path, cfg = workdir
     assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
@@ -361,6 +390,25 @@ def test_sibling_cache_missing_a_header_field_is_retrained(workdir, monkeypatch,
         assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens", "--force") == 0
         assert calls == [0, 1, 2]
         assert "copied" not in capsys.readouterr().out
+
+
+def test_sibling_curve_that_does_not_parse_is_retrained(workdir, monkeypatch, capsys):
+    tmp_path, cfg = workdir
+    assert run_cli("generate-data", "--config", cfg, "--out", "data") == 0
+    assert run_cli("train", "--config", cfg, "--kind", "cor", "--out", "ens") == 0
+    curve = tmp_path / "ens" / "cor" / "arm0_curve.csv"
+    good = curve.read_bytes()
+    calls = _count_arm_trainings(monkeypatch)
+    capsys.readouterr()
+    # the intact curve is a source; garbage and a curve cut after its first row are not
+    for bad, trained in ((good, [1, 2]), (b"garbage\x00\n", [0, 1, 2]),
+                         (b"".join(good.splitlines(keepends=True)[:2]), [0, 1, 2])):
+        curve.write_bytes(bad)
+        calls.clear()
+        assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens", "--force") == 0
+        assert calls == trained
+        assert ("arm0: copied from" in capsys.readouterr().out) == (trained == [1, 2])
+        assert (tmp_path / "ens" / "dec" / "arm0_curve.csv").read_bytes() == good
 
 
 def _fail_cells(monkeypatch, fails, why):

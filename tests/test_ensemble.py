@@ -51,8 +51,7 @@ def small_cfg(section: str, **over) -> dict:
 def small_data():
     ds = synthesize(synth_from_config(CFG), 88)
     train_raw, test_raw = split(ds, 0.9, 89)
-    train, stats = preprocess(train_raw, 64)
-    test, _ = preprocess(test_raw, 64, stats=stats)
+    train, test = preprocess(train_raw, test_raw, 64)
     return train, test
 
 

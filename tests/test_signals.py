@@ -61,8 +61,7 @@ class TestSynthesize:
         cfg = synth_cfg()
         ds = synthesize(cfg, 101)
         train_raw, test_raw = split(ds, 0.9, 202)
-        train, stats = preprocess(train_raw, cfg.length)
-        test, _ = preprocess(test_raw, cfg.length, stats=stats)
+        train, test = preprocess(train_raw, test_raw, cfg.length)
 
         bank = design_bank(next_pow2(cfg.length), 0.2, 0.0)
         f_tr = np.log(band_energy(train.signals, bank) + 1e-12)
@@ -185,28 +184,33 @@ class TestManifestRoundtrip:
         assert ds.labels.tolist() == [0, 1, 0]
 
 
+def _zscore(x: np.ndarray) -> np.ndarray:
+    # preprocess's own ops, applied to the expected values
+    return (x - float(x.mean())) / max(float(x.std()), 1e-8)
+
+
 class TestPreprocess:
     def test_short_signal_padded_symmetrically(self):
         ds = Dataset(["a"], np.array([0]), [np.ones(4)])
-        out, _ = preprocess(ds, 8, stats=(0.0, 1.0))
-        sig = out.signals[0]
-        assert len(sig) == 8
-        assert np.array_equal(sig, [0, 0, 1, 1, 1, 1, 0, 0])
+        for out in preprocess(ds, ds, 8):
+            sig = out.signals[0]
+            assert len(sig) == 8
+            assert np.array_equal(sig, _zscore(np.array([0, 0, 1, 1, 1, 1, 0, 0.0])))
 
     def test_long_signal_center_cropped(self):
         ds = Dataset(["a"], np.array([0]), [np.arange(10, dtype=float)])
-        out, _ = preprocess(ds, 4, stats=(0.0, 1.0))
-        assert np.array_equal(out.signals[0], [3, 4, 5, 6])
+        for out in preprocess(ds, ds, 4):
+            assert np.array_equal(out.signals[0], _zscore(np.array([3, 4, 5, 6.0])))
 
     def test_constant_dataset_zeroed(self):
         ds = Dataset(["a"], np.array([0]), [np.full(6, 3.25)])
-        out, _ = preprocess(ds, 6)
-        assert np.array_equal(out.signals[0], np.zeros(6))
+        for out in preprocess(ds, ds, 6):
+            assert np.array_equal(out.signals[0], np.zeros(6))
 
     def test_training_stats_recomputed(self):
         ds = synthesize(synth_cfg(records_per_class=20), 9)
-        train_raw, _ = split(ds, 0.9, 3)
-        train, _ = preprocess(train_raw, 512)
+        train_raw, test_raw = split(ds, 0.9, 3)
+        train, _ = preprocess(train_raw, test_raw, 512)
         x = train.signals
         assert x.shape == (len(train), 512)
         assert abs(float(x.mean())) < 1e-6
@@ -215,9 +219,12 @@ class TestPreprocess:
     def test_stats_reused_for_test_split(self):
         ds = synthesize(synth_cfg(records_per_class=20), 9)
         train_raw, test_raw = split(ds, 0.9, 3)
-        train, stats = preprocess(train_raw, 512)
-        test, test_stats = preprocess(test_raw, 512, stats=stats)
-        assert test_stats == stats
+        _, test = preprocess(train_raw, test_raw, 512)
+        raw_train, raw_test = np.stack(train_raw.signals), np.stack(test_raw.signals)
+        assert raw_test.shape == (len(test_raw), 512)  # already 512 long: nothing to fit
+        mean, std = float(raw_train.mean()), float(raw_train.std())
+        assert np.array_equal(test.signals, (raw_test - mean) / std)
+        assert abs(float(test.signals.mean())) > 1e-6  # not z-scored with its own mean
 
 
 class TestSplit:

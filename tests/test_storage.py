@@ -248,7 +248,6 @@ PINNED_DEFAULTS = {
     "model.ArchConfig": {"conv_blocks", "feature_dim", "num_classes", "input_length"},  # perfbench
     "model.make_param_tensors": {"requires_grad"},  # perfbench/child.py
     "model.forward": {"param_tensors"},  # predict, build_cache and the attacks
-    "signals.preprocess": {"stats"},  # cli._load_splits fits the train split's own
 }
 
 
