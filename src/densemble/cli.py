@@ -104,6 +104,15 @@ def _write_curve(path: Path, curve: list[dict]) -> None:
               [[row["epoch"]] + [repr(row[c]) for c in columns[1:]] for row in curve])
 
 
+def _read_curve(path: Path, columns: list[str], epochs: int) -> list[dict]:
+    """The curve `_write_curve` wrote: `epochs` rows under `columns`, numbered from 0."""
+    curve = [dict(zip(columns, [int(e)] + [float(v) for v in losses]))
+             for _, (e, *losses) in read_csv(path, columns)]
+    if [row["epoch"] for row in curve] != list(range(epochs)):
+        raise ValueError(f"{path}: epochs must run 0..{epochs - 1}")
+    return curve
+
+
 def _arm_keys(cfg: dict, kind: str, train_digest: str) -> list[str]:
     """Each arm's content key: a digest of everything that decides its bytes.
     An unfiltered arm that does not decorrelate is keyed like the same `cor` arm."""
@@ -158,17 +167,13 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     found = {}
     for k, (key, role) in enumerate(zip(keys, arm_roles(kind))):
         header = ["epoch", "ce"] + ["cor"] * role.decorrelates(decor_from_config(cfg))
-        for other in (o for o in KINDS if o != kind):
+        for sibling in (out_root / o for o in KINDS if o != kind):
             try:
-                cache, params, _ = _checked_cache(out_root / other, k, key, train.ids, train_digest,
-                                                  None)
-                curve = [row for _, row in read_csv(out_root / other / f"arm{k}_curve.csv", header)]
-                if curve != [[str(e)] + [repr(float(v)) for v in row[1:]]  # as _write_curve writes
-                             for e, row in enumerate(curve)] or len(curve) != cfg["train"]["epochs"]:
-                    raise ValueError("not this arm's curve")
+                cache, params, _ = _checked_cache(sibling, k, key, train.ids, train_digest, None)
+                curve = _read_curve(sibling / f"arm{k}_curve.csv", header, cfg["train"]["epochs"])
             except (OSError, ValueError):  # absent, damaged, stale or of another config
                 continue
-            found[k] = other, cache, params, (header, curve)
+            found[k] = sibling.name, cache, params, curve
             break
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
     for k, res in train_ensemble(kind, train.signals, train.labels, arch_from_config(cfg),
@@ -179,7 +184,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
             other, cache, params, curve = found[k]
             write_bytes(out_dir / f"arm{k}.params", params)
             save_cache(cache, out_dir / f"arm{k}.cache")
-            write_csv(out_dir / f"arm{k}_curve.csv", *curve)
+            _write_curve(out_dir / f"arm{k}_curve.csv", curve)
             print(f"arm{k}: copied from {Path(args.out) / other} (key {keys[k][:8]})")
             continue
         blob = save_params(res.params, out_dir / f"arm{k}.params", model_id=f"arm{k}")
@@ -231,8 +236,7 @@ def cmd_attack(args: argparse.Namespace, cfg: dict) -> int:
                 raise RuntimeError(f"attack cell {name} failed: {exc}") from exc
     finally:  # however the loop ends, the cells not started are dropped
         pool.shutdown(cancel_futures=True)
-    _write_manifest(out_dir, "attack", cfg,
-                    {"ensemble_dir": args.ensemble_dir, "out": args.out})
+    _write_manifest(out_dir, "attack", cfg, {"ensemble_dir": args.ensemble_dir, "out": args.out})
     print(f"crafted {len(grid)} attacked sets in {out_dir}")
     return 0
 
@@ -287,9 +291,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     write_csv(report_path,
               ["kind", "attack", "epsilon", "average", "p1", "p2", "p3", "n_masked"], rows)
     write_json(report_path.parent / "correlation.json", correlations)
-    _write_manifest(report_path.parent, "evaluate", cfg,
-                    {"ensemble_dir": args.ensemble_dir, "attacks": args.attacks,
-                     "out": args.out})
+    _write_manifest(report_path.parent, "evaluate", cfg, {"ensemble_dir": args.ensemble_dir,
+                                                          "attacks": args.attacks, "out": args.out})
     print(f"wrote {report_path} ({len(rows)} rows) and correlation.json")
     return 0
 

@@ -223,13 +223,9 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
 
 
 def _fit_length(sig: np.ndarray, length: int) -> np.ndarray:
-    n = len(sig)
-    if n == length:
-        return sig
-    if n > length:
-        start = (n - length) // 2
-        return sig[start : start + length]
-    d = length - n
+    d = length - len(sig)  # samples to pad with zeros, or to crop when negative
+    if d < 0:
+        return sig[-d // 2 : -d // 2 + length]
     return np.pad(sig, (d // 2, d - d // 2))
 
 

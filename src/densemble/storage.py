@@ -115,8 +115,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """(line, row) pairs after `header`; a bad header, no rows, a bad width or
-    bytes that are not UTF-8 fail."""
+    """(line, row) pairs after `header`; a bad header, no rows, a bad width, a
+    line that csv cannot parse or bytes that are not UTF-8 fail."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -125,6 +125,8 @@ def read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]
             rows = [(reader.line_num, row) for row in reader]
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # a malformed line, such as a field over csv's size limit
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no records")
     for ln, row in rows:

@@ -400,9 +400,11 @@ def test_sibling_curve_that_does_not_parse_is_retrained(workdir, monkeypatch, ca
     good = curve.read_bytes()
     calls = _count_arm_trainings(monkeypatch)
     capsys.readouterr()
-    # the intact curve is a source; garbage and a curve cut after its first row are not
+    # the intact curve is a source; garbage, a curve cut after its first row and a
+    # field over csv's 131,072-character limit are not
     for bad, trained in ((good, [1, 2]), (b"garbage\x00\n", [0, 1, 2]),
-                         (b"".join(good.splitlines(keepends=True)[:2]), [0, 1, 2])):
+                         (b"".join(good.splitlines(keepends=True)[:2]), [0, 1, 2]),
+                         (b"a" * 200_000, [0, 1, 2])):
         curve.write_bytes(bad)
         calls.clear()
         assert run_cli("train", "--config", cfg, "--kind", "dec", "--out", "ens", "--force") == 0

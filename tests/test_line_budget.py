@@ -4,7 +4,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "densemble"
 
 # The ceiling on `wc -l src/densemble/*.py`.  A change that needs more lines
 # raises it and says why in CHANGES.md.
-LINE_BUDGET = 2_339
+LINE_BUDGET = 2_340
 
 
 def test_src_within_line_budget():

@@ -191,16 +191,18 @@ def _zscore(x: np.ndarray) -> np.ndarray:
 
 class TestPreprocess:
     def test_short_signal_padded_symmetrically(self):
-        ds = Dataset(["a"], np.array([0]), [np.ones(4)])
+        # a record no affine map takes onto itself, so the z-score keeps the pad value
+        ds = Dataset(["a"], np.array([0]), [np.array([1.0, 2, 3, 4])])
         for out in preprocess(ds, ds, 8):
             sig = out.signals[0]
             assert len(sig) == 8
-            assert np.array_equal(sig, _zscore(np.array([0, 0, 1, 1, 1, 1, 0, 0.0])))
+            assert np.array_equal(sig, _zscore(np.array([0, 0, 1, 2, 3, 4, 0, 0.0])))
 
     def test_long_signal_center_cropped(self):
-        ds = Dataset(["a"], np.array([0]), [np.arange(10, dtype=float)])
+        # squares, so no other window of 4 has the same z-score
+        ds = Dataset(["a"], np.array([0]), [np.arange(10.0) ** 2])
         for out in preprocess(ds, ds, 4):
-            assert np.array_equal(out.signals[0], _zscore(np.array([3, 4, 5, 6.0])))
+            assert np.array_equal(out.signals[0], _zscore(np.array([9, 16, 25, 36.0])))
 
     def test_constant_dataset_zeroed(self):
         ds = Dataset(["a"], np.array([0]), [np.full(6, 3.25)])

@@ -61,6 +61,12 @@ class TestReaders:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + why):
             storage.read_csv(path, ["a", "b"])
 
+    def test_csv_line_csv_cannot_parse_names_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + "x" * 200_000 + ",1\n")  # over csv's field size limit
+        with pytest.raises(ValueError, match=re.escape(f"{path}: field larger than field limit")):
+            storage.read_csv(path, ["a", "b"])
+
     def test_json_error_names_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"a": 1,')
